@@ -11,13 +11,17 @@
 #ifndef ONEPASS_BENCH_BENCH_COMMON_H_
 #define ONEPASS_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "src/mr/cluster.h"
 #include "src/mr/config.h"
+#include "src/util/simd_dispatch.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/documents.h"
 
@@ -44,11 +48,11 @@ struct Flags {
   // Block codec for spill/shuffle/bucket streams: "none" (default) or
   // "lz" (JobConfig::block_codec = kLz).
   std::string codec = "none";
-  // Batch data plane (DESIGN.md Â§5.8). --batch_size=N pins
+  // Batch data plane (DESIGN.md §5.8). --batch_size=N pins
   // JobConfig::batch_records (0 = derive from codec_block_bytes);
-  // --batch_size=1 is the scalar-equivalent walk. --simd=scalar pins
-  // JobConfig::simd to kForceScalar so the hash kernels skip the
-  // vectorized tiers; --simd=auto (default) uses the detected tier.
+  // --batch_size=1 is the scalar-equivalent walk. --simd=scalar pins the
+  // process-wide SIMD tier (SetSimdTier) to the portable scalar kernels;
+  // --simd=auto (default) keeps the detected tier.
   uint64_t batch_size = 0;
   std::string simd = "auto";
   // Resident shuffle engine (DESIGN.md §5.9). --iterations=N sets
@@ -72,44 +76,100 @@ inline Flags& DataPlaneDefaults() {
   static Flags defaults;
   return defaults;
 }
+
+// Parses all of `text` as a number of type T. Empty input, trailing
+// characters, and out-of-range values fail.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
 }  // namespace detail
 
-inline Flags ParseFlags(int argc, char** argv) {
+inline constexpr const char kFlagsUsage[] =
+    "flags: --scale=<f> --threads=<n> --codec=none|lz --batch_size=<n>\n"
+    "       --simd=auto|scalar --iterations=<n> --shuffle_mode=disk|resident\n"
+    "       --combine_scope=task|node --node_combine_budget=<bytes>\n"
+    "       --plot=<name> (or --plot <name>) --ssd --hop --util\n";
+
+// Parses the shared bench command line. Fails with InvalidArgument, naming
+// the flag, on an unknown flag, a missing value, or a malformed number.
+inline Result<Flags> TryParseFlags(int argc, const char* const* argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      flags.scale = std::stod(arg.substr(8));
-    } else if (arg == "--ssd") {
+    const std::string_view arg = argv[i];
+    if (arg == "--ssd") {
       flags.ssd = true;
-    } else if (arg == "--hop") {
+      continue;
+    }
+    if (arg == "--hop") {
       flags.hop = true;
-    } else if (arg == "--util") {
+      continue;
+    }
+    if (arg == "--util") {
       flags.util = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      flags.threads = std::stoi(arg.substr(10));
-    } else if (arg.rfind("--codec=", 0) == 0) {
-      flags.codec = arg.substr(8);
-    } else if (arg.rfind("--batch_size=", 0) == 0) {
-      flags.batch_size = std::stoull(arg.substr(13));
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      flags.simd = arg.substr(7);
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      flags.iterations = std::stoi(arg.substr(13));
-    } else if (arg.rfind("--shuffle_mode=", 0) == 0) {
-      flags.shuffle_mode = arg.substr(15);
-    } else if (arg.rfind("--combine_scope=", 0) == 0) {
-      flags.combine_scope = arg.substr(16);
-    } else if (arg.rfind("--node_combine_budget=", 0) == 0) {
-      flags.node_combine_budget = std::stoull(arg.substr(22));
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    std::string_view value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
     } else if (arg == "--plot" && i + 1 < argc) {
-      flags.plot = argv[++i];
-    } else if (arg.rfind("--plot=", 0) == 0) {
-      flags.plot = arg.substr(7);
+      value = argv[++i];
+    } else {
+      return Status::InvalidArgument(
+          "unknown flag or missing value: '" + std::string(arg) +
+          "' (values attach with '=', e.g. --scale=0.1)");
+    }
+    bool ok = true;
+    if (name == "--scale") {
+      ok = detail::ParseNumber(value, &flags.scale);
+    } else if (name == "--threads") {
+      ok = detail::ParseNumber(value, &flags.threads);
+    } else if (name == "--batch_size") {
+      ok = detail::ParseNumber(value, &flags.batch_size);
+    } else if (name == "--iterations") {
+      ok = detail::ParseNumber(value, &flags.iterations);
+    } else if (name == "--node_combine_budget") {
+      ok = detail::ParseNumber(value, &flags.node_combine_budget);
+    } else if (name == "--codec") {
+      flags.codec = value;
+    } else if (name == "--simd") {
+      flags.simd = value;
+    } else if (name == "--shuffle_mode") {
+      flags.shuffle_mode = value;
+    } else if (name == "--combine_scope") {
+      flags.combine_scope = value;
+    } else if (name == "--plot") {
+      flags.plot = value;
+    } else {
+      return Status::InvalidArgument("unknown flag '" + std::string(arg) +
+                                     "'");
+    }
+    if (!ok) {
+      return Status::InvalidArgument("malformed number for " +
+                                     std::string(name) + ": '" +
+                                     std::string(value) + "'");
     }
   }
-  detail::DataPlaneDefaults() = flags;
   return flags;
+}
+
+// TryParseFlags for a bench's main: on bad input prints the error and the
+// flag list to stderr and exits 2. Records the flags as the data-plane
+// defaults every ScaledJobConfig applies.
+inline Flags ParseFlags(int argc, char** argv) {
+  Result<Flags> flags = TryParseFlags(argc, argv);
+  if (!flags.ok()) {
+    const std::string_view msg = flags.status().message();
+    std::fprintf(stderr, "%s: %.*s\n%s", argc > 0 ? argv[0] : "bench",
+                 static_cast<int>(msg.size()), msg.data(), kFlagsUsage);
+    std::exit(2);
+  }
+  detail::DataPlaneDefaults() = *flags;
+  return *flags;
 }
 
 // Resolves a --codec= flag value ("none"/"lz") to the config enum;
@@ -156,14 +216,12 @@ inline void ApplyDataPlaneFlags(const Flags& flags, JobConfig* cfg) {
   cfg->shuffle_mode = ShuffleModeFromFlag(flags.shuffle_mode);
   cfg->combine_scope = CombineScopeFromFlag(flags.combine_scope);
   cfg->node_combine_budget_bytes = flags.node_combine_budget;
+  // The SIMD tier is process-wide: --simd=scalar pins it for every job.
   if (flags.simd == "scalar") {
-    cfg->simd = JobConfig::SimdPolicy::kForceScalar;
-  } else {
-    if (flags.simd != "auto" && !flags.simd.empty()) {
-      std::fprintf(stderr, "unknown --simd=%s, using auto\n",
-                   flags.simd.c_str());
-    }
-    cfg->simd = JobConfig::SimdPolicy::kAuto;
+    SetSimdTier(SimdTier::kScalar);
+  } else if (flags.simd != "auto" && !flags.simd.empty()) {
+    std::fprintf(stderr, "unknown --simd=%s, using auto\n",
+                 flags.simd.c_str());
   }
 }
 

@@ -7,28 +7,14 @@
 //   (2) larger F merges fewer bytes, until the merge is one-pass.
 
 #include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/model/hadoop_model.h"
-#include "src/util/hash.h"
 #include "src/workloads/jobs.h"
-
-namespace {
-
-// Order-insensitive fingerprint of a job's collected output: a commutative
-// sum of per-record hashes, so the flat and legacy hash cores (which
-// finalize in different orders) can be compared record-for-record.
-uint64_t OutputFingerprint(const std::vector<onepass::Record>& outputs) {
-  uint64_t fp = 0;
-  for (const onepass::Record& rec : outputs) {
-    fp += onepass::Mix64(onepass::HashBytes(rec.key, 7) ^
-                         onepass::HashBytes(rec.value, 13));
-  }
-  return fp;
-}
-
-}  // namespace
+#include "src/workloads/reference.h"
 
 int main(int argc, char** argv) {
   using namespace onepass;
@@ -131,12 +117,10 @@ int main(int argc, char** argv) {
       "§3.2(2): time decreases from F=4 to F=16 (fewer merge passes); "
       "once one-pass,\nlarger F gains nothing.\n");
 
-  // Hash-core before/after (DESIGN.md §5.4): the same INC-hash click-count
-  // job under the FlatTable core vs the legacy unordered_map core. The
-  // order-insensitive output fingerprints must match — the core changes
-  // performance, never results.
-  std::printf("\n=== hash core: INC-hash flat vs legacy (click counts) "
-              "===\n\n");
+  // Hash-core check (DESIGN.md §5.4): the INC-hash click-count job, whose
+  // FlatTable state tables run at every level (map-side combiner, resident
+  // table, bucket passes), must reproduce the reference counts exactly.
+  std::printf("\n=== hash core: INC-hash click counts vs reference ===\n\n");
   JobConfig inc_cfg = bench::ScaledJobConfig(EngineKind::kIncHash);
   inc_cfg.map_side_combine = true;
   inc_cfg.collect_outputs = true;
@@ -146,33 +130,34 @@ int main(int argc, char** argv) {
   ChunkStore inc_input(inc_cfg.chunk_bytes, inc_cfg.cluster.nodes);
   GenerateClickStream(clicks, &inc_input);
 
-  std::printf("%-14s %14s %14s %18s\n", "core", "time(s)", "probes",
-              "fingerprint");
-  uint64_t fp_flat = 0, fp_legacy = 0;
-  for (const HashCoreKind core :
-       {HashCoreKind::kFlat, HashCoreKind::kLegacy}) {
-    JobConfig cfg = inc_cfg;
-    cfg.hash_core = core;
-    // The node tier requires the flat core's reproducible iteration
-    // order; the legacy-core baseline runs at task scope regardless.
-    if (core == HashCoreKind::kLegacy) {
-      cfg.combine_scope = CombineScope::kTask;
-    }
-    auto r = bench::MustRun(ClickCountJob(), cfg, inc_input);
-    if (!r.ok()) return 1;
-    const uint64_t fp = OutputFingerprint(r->outputs);
-    (core == HashCoreKind::kFlat ? fp_flat : fp_legacy) = fp;
-    std::printf("%-14s %14.2f %14llu %18llx\n",
-                core == HashCoreKind::kFlat ? "flat" : "legacy",
-                r->running_time,
-                static_cast<unsigned long long>(
-                    r->metrics.hash_table_probes),
-                static_cast<unsigned long long>(fp));
+  auto r = bench::MustRun(ClickCountJob(), inc_cfg, inc_input);
+  if (!r.ok()) return 1;
+  std::map<std::string, std::string> want;
+  for (const auto& [key, count] :
+       ReferenceClickCounts(inc_input, ClickKeyField::kUser)) {
+    want[key] = std::to_string(count);
   }
-  std::printf(fp_flat == fp_legacy
-                  ? "\noutput fingerprints match: the cores compute "
-                    "identical results.\n"
-                  : "\nERROR: output fingerprints DIVERGE between hash "
-                    "cores.\n");
-  return fp_flat == fp_legacy ? 0 : 1;
+  std::map<std::string, std::string> got;
+  uint64_t duplicates = 0;
+  for (const Record& rec : r->outputs) {
+    duplicates += got.count(rec.key);
+    got[rec.key] = rec.value;
+  }
+  // Keys missing, wrong, or unexpected, plus any key emitted twice.
+  uint64_t mismatched = duplicates;
+  for (const auto& [key, count] : want) {
+    const auto it = got.find(key);
+    if (it == got.end() || it->second != count) ++mismatched;
+  }
+  for (const auto& entry : got) mismatched += want.count(entry.first) == 0;
+  std::printf("%-24s %14.2f\n", "running time (s)", r->running_time);
+  std::printf("%-24s %14llu\n", "hash-table probes",
+              static_cast<unsigned long long>(r->metrics.hash_table_probes));
+  std::printf("%-24s %14zu\n", "reference keys", want.size());
+  std::printf("%-24s %14llu\n", "mismatched keys",
+              static_cast<unsigned long long>(mismatched));
+  const bool match = mismatched == 0;
+  std::printf(match ? "\noutput matches the reference counts.\n"
+                    : "\nERROR: output DIVERGES from the reference counts.\n");
+  return match ? 0 : 1;
 }

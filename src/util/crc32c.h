@@ -34,7 +34,7 @@ uint32_t Crc32cExtendHardware(uint32_t crc, std::string_view data);
 bool Crc32cHardwareAvailable();
 
 // Explicit-tier variant for callers that resolved a tier once up front
-// (the batch data plane resolves JobConfig::simd per task).
+// (the dispatch test cross-checks each installed tier with it).
 inline uint32_t Crc32cExtendWithTier(SimdTier tier, uint32_t crc,
                                      std::string_view data) {
   return TierHasHardwareCrc(tier) ? Crc32cExtendHardware(crc, data)

@@ -7,7 +7,7 @@
 //   batch size   {1, 7, 64, 0 (block-derived)}   x
 //   threads      {1, 8}                          x
 //   codec        {kNone, kLz}                    x
-//   SIMD policy  {kForceScalar, kAuto}
+//   SIMD tier    {kScalar, detected}
 // and under a faulted schedule (crash + straggler + corruption). The
 // baseline is the scalar-equivalent walk: batch_records=1, one thread,
 // SIMD pinned off. Anything the batch plane changes beyond wall-clock
@@ -26,6 +26,7 @@
 
 #include "src/mr/cluster.h"
 #include "src/sim/timeline.h"
+#include "src/util/simd_dispatch.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
 
@@ -140,16 +141,18 @@ constexpr Variant kVariants[] = {
 };
 
 void ExpectBatchInvariant(const JobConfig& base, const ChunkStore& input) {
+  const SimdTier detected = CurrentSimdTier();
   for (const BlockCodecKind codec :
        {BlockCodecKind::kNone, BlockCodecKind::kLz}) {
     JobConfig cfg = base;
     cfg.block_codec = codec;
     // Scalar-equivalent baseline: one record per batch, one thread, SIMD
-    // kernels pinned off.
+    // kernels pinned off (the process-wide tier, restored right after).
     cfg.batch_records = 1;
     cfg.data_plane_threads = 1;
-    cfg.simd = JobConfig::SimdPolicy::kForceScalar;
+    SetSimdTier(SimdTier::kScalar);
     auto baseline = LocalCluster::RunJob(ClickCountJob(), cfg, input);
+    SetSimdTier(detected);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     const std::string want = Fingerprint(*baseline);
     ASSERT_EQ(want.find("record_batches"), std::string::npos)
@@ -158,7 +161,6 @@ void ExpectBatchInvariant(const JobConfig& base, const ChunkStore& input) {
     for (const Variant& v : kVariants) {
       cfg.batch_records = v.batch;
       cfg.data_plane_threads = v.threads;
-      cfg.simd = JobConfig::SimdPolicy::kAuto;
       auto run = LocalCluster::RunJob(ClickCountJob(), cfg, input);
       ASSERT_TRUE(run.ok()) << "batch=" << v.batch
                             << " threads=" << v.threads << ": "

@@ -72,16 +72,30 @@ class EngineParamTest : public ::testing::TestWithParam<EngineKind> {};
 TEST_P(EngineParamTest, ClickCountMatchesReference) {
   ChunkStore input(SmallCluster(GetParam()).chunk_bytes, 4);
   GenerateClickStream(SmallClicks(), &input);
-
-  JobConfig cfg = SmallCluster(GetParam());
-  cfg.map_side_combine = true;
-  auto result = LocalCluster::RunJob(ClickCountJob(), cfg, input);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
-  const auto actual = OutputsAsCounts(result->outputs);
-  EXPECT_EQ(expected.size(), actual.size());
-  EXPECT_EQ(expected, actual);
+
+  // Two ample reduce memories; parallel_determinism_test covers the tight
+  // 8 KB regime.
+  for (const uint64_t memory : {4u << 20, 1u << 20}) {
+    JobConfig cfg = SmallCluster(GetParam());
+    cfg.map_side_combine = true;
+    cfg.reduce_memory_bytes = memory;
+    auto result = LocalCluster::RunJob(ClickCountJob(), cfg, input);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    const auto actual = OutputsAsCounts(result->outputs);
+    EXPECT_EQ(expected.size(), actual.size()) << "memory=" << memory;
+    EXPECT_EQ(expected, actual) << "memory=" << memory;
+
+    // A rerun reproduces the exact record sequence, not just the set.
+    auto rerun = LocalCluster::RunJob(ClickCountJob(), cfg, input);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    ASSERT_EQ(result->outputs.size(), rerun->outputs.size());
+    for (size_t i = 0; i < result->outputs.size(); ++i) {
+      EXPECT_EQ(result->outputs[i].key, rerun->outputs[i].key);
+      EXPECT_EQ(result->outputs[i].value, rerun->outputs[i].value);
+    }
+  }
 }
 
 TEST_P(EngineParamTest, PageFrequencyMatchesReference) {

@@ -229,15 +229,6 @@ TEST(JobChainTest, RejectsMalformedChains) {
     };
     EXPECT_FALSE(RunJobChain(stages).ok());
   }
-
-  // State carry-over requires the flat hash core.
-  {
-    JobConfig legacy = cfg;
-    legacy.hash_core = HashCoreKind::kLegacy;
-    std::vector<ChainStage> stages = {
-        {ClickCountJob(), legacy, log.deltas[0].get()}};
-    EXPECT_FALSE(RunJobChain(stages).ok());
-  }
 }
 
 }  // namespace

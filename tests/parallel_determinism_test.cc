@@ -4,17 +4,22 @@
 // time, and every progress/utilization curve — including under nonzero
 // fault and corruption rates, whose draws are keyed by task id rather
 // than execution order. Exact double equality is intentional: within one
-// binary the parallel schedule must not perturb a single operation.
+// binary the parallel schedule must not perturb a single operation. The
+// sequential run's output must also equal the reference click counts, so
+// every engine's spill paths (reduce memory is tight) are checked for
+// answers, not only for reproducibility.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "src/mr/cluster.h"
 #include "src/sim/timeline.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "src/workloads/reference.h"
 
 namespace onepass {
 namespace {
@@ -115,6 +120,12 @@ void ExpectThreadCountInvariant(const JobConfig& base,
   cfg.data_plane_threads = 1;
   auto sequential = LocalCluster::RunJob(ClickCountJob(), cfg, input);
   ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  std::map<std::string, uint64_t> counts;
+  for (const Record& rec : sequential->outputs) {
+    EXPECT_TRUE(counts.emplace(rec.key, std::stoull(rec.value)).second)
+        << "duplicate output for key " << rec.key;
+  }
+  EXPECT_EQ(counts, ReferenceClickCounts(input, ClickKeyField::kUser));
   const std::string want = Fingerprint(*sequential);
   for (int threads : {2, 8}) {
     cfg.data_plane_threads = threads;
