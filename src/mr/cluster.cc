@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -637,11 +638,17 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
       },
       reduce_statuses));
   result.reduce_plane_wall_s = WallSeconds() - reduce_plane_start;
-  for (const auto& task : reduce_tasks) {
+  if (config.collect_outputs) {
+    size_t total_outputs = 0;
+    for (const auto& task : reduce_tasks) total_outputs += task->outputs.size();
+    result.outputs.reserve(total_outputs);
+  }
+  for (auto& task : reduce_tasks) {
     result.metrics.Merge(task->metrics);
     if (config.collect_outputs) {
-      result.outputs.insert(result.outputs.end(), task->outputs.begin(),
-                            task->outputs.end());
+      result.outputs.insert(result.outputs.end(),
+                            std::make_move_iterator(task->outputs.begin()),
+                            std::make_move_iterator(task->outputs.end()));
     }
   }
 

@@ -74,10 +74,12 @@ class SessionizationReducer : public Reducer {
 //
 // State layout: [count: fixed32] then `count` entries of
 // [ts: fixed64][url: fixed32] + padding (each entry is payload_bytes, so
-// carrying a click through the state costs what the click costs).
+// carrying a click through the state costs what the click costs), sorted
+// by ts. Every call reads and edits the encoded state in place.
 class SessionizationIncReducer : public IncrementalReducer {
  public:
-  // state_bytes: the fixed buffer size (the paper evaluates 0.5/1/2 KB).
+  // state_bytes: the fixed buffer size (the paper evaluates 0.5/1/2 KB);
+  // it must hold the count and at least one click.
   explicit SessionizationIncReducer(
       uint64_t state_bytes = 512,
       size_t payload_bytes = kDefaultClickPayloadBytes);
@@ -87,6 +89,9 @@ class SessionizationIncReducer : public IncrementalReducer {
                std::string_view other) override;
   void Finalize(std::string_view key, std::string_view state,
                 Emitter* out) override;
+  // Emits every complete (closed) session in the buffer and keeps only the
+  // trailing open session; if the buffer is still over capacity, the
+  // oldest clicks are force-emitted (bounded-buffer approximation).
   void OnUpdate(std::string_view key, std::string* state,
                 Emitter* out) override;
   bool TryDiscard(std::string_view key, std::string* state,
@@ -97,18 +102,14 @@ class SessionizationIncReducer : public IncrementalReducer {
   uint64_t watermark() const { return watermark_; }
 
  private:
-  // Emits every complete (closed) session in the buffer and keeps only the
-  // trailing open session; if the buffer is still over capacity, the
-  // oldest clicks are force-emitted (bounded-buffer approximation).
-  void EmitClosedSessions(std::string_view key, std::string* state,
-                          Emitter* out, bool emit_all);
-
   uint64_t state_bytes_;
   size_t payload_bytes_;
   size_t capacity_clicks_;
   // Highest timestamp seen by this reduce task; used as the expiry
   // watermark for TryDiscard.
   uint64_t watermark_ = 0;
+  // Output value buffer, reused across emits.
+  std::string value_;
 };
 
 }  // namespace onepass

@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "src/util/hash.h"
 #include "src/workloads/clickstream.h"
 #include "src/workloads/jobs.h"
+#include "src/workloads/reference.h"
+#include "src/workloads/sessionization.h"
 
 namespace onepass {
 namespace {
@@ -86,6 +95,63 @@ TEST(ClusterTest, SeedChangesPartitioningButNotResults) {
     return v;
   };
   EXPECT_EQ(sorted(a->outputs), sorted(b->outputs));
+}
+
+TEST(ClusterTest, CollectedOutputsConcatenateReduceTasksInOrder) {
+  // 8 reduce tasks, their data planes on 4 threads: JobResult::outputs is
+  // every task's outputs, task 0's first, so the partition of each output
+  // key never decreases along the vector, and each task's block holds
+  // every click of that partition exactly once.
+  const ChunkStore input = SmallInput();
+  JobConfig cfg = SmallConfig(EngineKind::kIncHash);
+  cfg.data_plane_threads = 4;
+  cfg.collect_outputs = true;
+  const JobSpec job = SessionizationJob();
+  auto a = LocalCluster::RunJob(job, cfg, input);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_EQ(a->reduce_tasks, 8);
+  ASSERT_EQ(a->outputs.size(), a->metrics.output_records);
+
+  const UniversalHash partitioner = UniversalHashFamily(cfg.seed).At(0);
+  std::vector<uint64_t> task_of;
+  for (const Record& rec : a->outputs) {
+    task_of.push_back(partitioner.Bucket(rec.key, 8));
+  }
+  EXPECT_TRUE(std::is_sorted(task_of.begin(), task_of.end()));
+  EXPECT_EQ(std::set<uint64_t>(task_of.begin(), task_of.end()).size(), 8u);
+  // Session tags may differ from the reference (out-of-order clicks can
+  // arrive after their session closed); the clicks may not.
+  auto clicks = [](const std::vector<Record>& records) {
+    std::vector<std::tuple<std::string, uint64_t, uint32_t>> out;
+    for (const Record& rec : records) {
+      uint64_t session, ts;
+      uint32_t url;
+      EXPECT_TRUE(DecodeSessionOutput(rec.value, &session, &ts, &url));
+      out.emplace_back(rec.key, ts, url);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_TRUE(clicks(a->outputs) ==
+              clicks(ReferenceSessionization(input, 64)));
+
+  // A second identical run, one on a single thread, and one that does not
+  // collect outputs: same records in the same order, same metrics.
+  auto b = LocalCluster::RunJob(job, cfg, input);
+  cfg.data_plane_threads = 1;
+  auto c = LocalCluster::RunJob(job, cfg, input);
+  cfg.collect_outputs = false;
+  auto d = LocalCluster::RunJob(job, cfg, input);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(b->outputs == a->outputs);
+  EXPECT_TRUE(c->outputs == a->outputs);
+  EXPECT_TRUE(d->outputs.empty());
+  const std::string metrics = a->metrics.Serialize();
+  EXPECT_EQ(b->metrics.Serialize(), metrics);
+  EXPECT_EQ(c->metrics.Serialize(), metrics);
+  EXPECT_EQ(d->metrics.Serialize(), metrics);
 }
 
 TEST(ClusterTest, SecondReducerWaveFetchesFromDisk) {
