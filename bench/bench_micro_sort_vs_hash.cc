@@ -11,7 +11,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/mr/map_runner.h"
 #include "src/util/hash.h"
+#include "src/util/kv_buffer.h"
 #include "src/util/random.h"
 #include "src/workloads/clickstream.h"
 
@@ -29,25 +31,20 @@ std::vector<std::pair<std::string, std::string>> MakePairs(int n) {
   return pairs;
 }
 
+// Sorts the buffer exactly as MapRunner's sort path does: SortEntry
+// records with the KeyPrefix computed at emit, ordered by SortEntryLess.
 void BM_SortMapBuffer(benchmark::State& state) {
   const auto pairs = MakePairs(static_cast<int>(state.range(0)));
   UniversalHashFamily family(1);
   const UniversalHash h1 = family.At(0);
-  struct Entry {
-    uint32_t part;
-    std::string_view key;
-  };
   for (auto _ : state) {
-    std::vector<Entry> entries;
+    std::vector<SortEntry> entries;
     entries.reserve(pairs.size());
     for (const auto& [k, v] : pairs) {
-      entries.push_back({static_cast<uint32_t>(h1.Bucket(k, 40)), k});
+      entries.push_back(
+          {static_cast<uint32_t>(h1.Bucket(k, 40)), KeyPrefix(k), k, v});
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                if (a.part != b.part) return a.part < b.part;
-                return a.key < b.key;
-              });
+    std::sort(entries.begin(), entries.end(), SortEntryLess());
     benchmark::DoNotOptimize(entries);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

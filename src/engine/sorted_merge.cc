@@ -3,17 +3,43 @@
 namespace onepass {
 
 SortedKvMerger::SortedKvMerger(std::vector<const KvBuffer*> inputs) {
-  readers_.reserve(inputs.size());
+  const size_t k = inputs.size();
+  readers_.reserve(k);
   for (const KvBuffer* in : inputs) {
     readers_.emplace_back(*in);
   }
-  for (size_t i = 0; i < readers_.size(); ++i) Advance(i);
+  heads_.resize(k);
+  for (size_t i = 0; i < k; ++i) Advance(i);
+  if (k == 0) return;
+
+  // Build the tree bottom-up: play each internal node's match between the
+  // winners of its two subtrees, keep the loser there, pass the winner up.
+  tree_.assign(k, 0);
+  std::vector<uint32_t> winner(2 * k);
+  for (size_t i = 0; i < k; ++i) winner[k + i] = static_cast<uint32_t>(i);
+  for (size_t n = k - 1; n >= 1; --n) {
+    const uint32_t l = winner[2 * n];
+    const uint32_t r = winner[2 * n + 1];
+    if (Before(r, l)) {
+      winner[n] = r;
+      tree_[n] = l;
+    } else {
+      winner[n] = l;
+      tree_[n] = r;
+    }
+  }
+  tree_[0] = winner[1];
 }
 
 void SortedKvMerger::Advance(size_t input) {
-  std::string_view k, v;
-  if (readers_[input].Next(&k, &v)) {
-    heap_.push(Head{k, v, input});
+  Head& h = heads_[input];
+  if (readers_[input].Next(&h.key, &h.value)) {
+    h.prefix = KeyPrefix(h.key);
+  } else {
+    h.prefix = ~uint64_t{0};
+    h.key = {};
+    h.value = {};
+    h.done = true;
   }
 }
 
@@ -25,13 +51,26 @@ bool SortedKvMerger::Next(std::string_view* key, std::string_view* value) {
     ++records_merged_;
     return true;
   }
-  if (heap_.empty()) return false;
-  const Head top = heap_.top();
-  heap_.pop();
-  Advance(top.input);
-  *key = top.key;
-  *value = top.value;
+  if (tree_.empty()) return false;
+  const uint32_t top = tree_[0];
+  const Head& h = heads_[top];
+  if (h.done) return false;
+  *key = h.key;
+  *value = h.value;
   ++records_merged_;
+
+  // Refill the winner's leaf and replay its path to the root.
+  Advance(top);
+  const size_t k = tree_.size();
+  uint32_t winner = top;
+  for (size_t n = (k + top) / 2; n >= 1; n /= 2) {
+    const uint32_t challenger = tree_[n];
+    if (Before(challenger, winner)) {
+      tree_[n] = winner;
+      winner = challenger;
+    }
+  }
+  tree_[0] = winner;
   return true;
 }
 

@@ -21,19 +21,14 @@ namespace {
 // arena so entries are cheap to sort.
 class CollectingEmitter : public Emitter {
  public:
-  struct Entry {
-    uint32_t part;
-    std::string_view key;
-    std::string_view value;
-  };
-
   CollectingEmitter(const UniversalHash* partitioner, int total_partitions)
       : partitioner_(partitioner), total_partitions_(total_partitions) {}
 
   void Emit(std::string_view key, std::string_view value) override {
-    Entry e;
+    SortEntry e;
     e.part = static_cast<uint32_t>(
         partitioner_->Bucket(key, total_partitions_));
+    e.prefix = KeyPrefix(key);
     e.key = arena_.Copy(key);
     e.value = arena_.Copy(value);
     entries_.push_back(e);
@@ -41,7 +36,7 @@ class CollectingEmitter : public Emitter {
     ++records_;
   }
 
-  std::vector<Entry>& entries() { return entries_; }
+  std::vector<SortEntry>& entries() { return entries_; }
   uint64_t bytes() const { return bytes_; }
   uint64_t records() const { return records_; }
 
@@ -55,7 +50,7 @@ class CollectingEmitter : public Emitter {
   const UniversalHash* partitioner_;
   int total_partitions_;
   Arena arena_;
-  std::vector<Entry> entries_;
+  std::vector<SortEntry> entries_;
   uint64_t bytes_ = 0;
   uint64_t records_ = 0;
 };
@@ -218,12 +213,6 @@ class CombiningEmitter : public Emitter {
   uint64_t records_ = 0;
   uint64_t combines_ = 0;
 };
-
-bool EntryLess(const CollectingEmitter::Entry& a,
-               const CollectingEmitter::Entry& b) {
-  if (a.part != b.part) return a.part < b.part;
-  return a.key < b.key;
-}
 
 uint32_t WriteRequests(uint64_t bytes) {
   return std::max<uint32_t>(1, static_cast<uint32_t>(bytes >> 20));
@@ -483,7 +472,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
   enum class CutKind { kSpill, kFinalOutput };
   auto sort_and_cut = [&](CutKind kind) {
     auto& entries = emitter.entries();
-    std::sort(entries.begin(), entries.end(), EntryLess);
+    std::sort(entries.begin(), entries.end(), SortEntryLess());
     trace->Cpu(costs.SortCost(entries.size()), OpTag::kSort);
     std::vector<KvBuffer> parts(total_partitions_);
     uint64_t bytes = 0, records = 0, combines = 0;
@@ -492,6 +481,7 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
       size_t j = i + 1;
       while (combine && j < entries.size() &&
              entries[j].part == entries[i].part &&
+             entries[j].prefix == entries[i].prefix &&
              entries[j].key == entries[i].key) {
         ++j;
       }

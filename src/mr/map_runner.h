@@ -23,6 +23,7 @@
 #define ONEPASS_MR_MAP_RUNNER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -55,6 +56,28 @@ inline bool ModeProducesStates(MapOutputMode mode) {
          mode == MapOutputMode::kHashInit ||
          mode == MapOutputMode::kHashCombine;
 }
+
+// One emitted record in the sort path's map buffer: partition tag, the
+// key's KeyPrefix (computed once at emit), and views of the arena-held key
+// and value bytes.
+struct SortEntry {
+  uint32_t part;
+  uint64_t prefix;
+  std::string_view key;
+  std::string_view value;
+};
+
+// The map buffer's sort order: (partition, key), the key compared by
+// prefix first and in full only on a prefix tie. Answers exactly what
+// (part, key) comparison answers for every pair, so std::sort makes the
+// same moves and leaves equal keys in the same order.
+struct SortEntryLess {
+  bool operator()(const SortEntry& a, const SortEntry& b) const {
+    if (a.part != b.part) return a.part < b.part;
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return a.key < b.key;
+  }
+};
 
 // One publishable unit of map output. Non-pipelined tasks have exactly one
 // push; pipelined tasks publish one per spill.

@@ -2,17 +2,6 @@
 
 namespace onepass {
 
-void PutVarint32(std::string* dst, uint32_t v) {
-  unsigned char buf[5];
-  int n = 0;
-  while (v >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(v) | 0x80;
-    v >>= 7;
-  }
-  buf[n++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<char*>(buf), n);
-}
-
 void PutVarint64(std::string* dst, uint64_t v) {
   unsigned char buf[10];
   int n = 0;
@@ -24,14 +13,16 @@ void PutVarint64(std::string* dst, uint64_t v) {
   dst->append(reinterpret_cast<char*>(buf), n);
 }
 
-const char* GetVarint32Ptr(const char* p, const char* limit,
-                           uint32_t* value) {
+const char* GetVarint32PtrFallback(const char* p, const char* limit,
+                                   uint32_t* value) {
   uint32_t result = 0;
   for (uint32_t shift = 0; shift <= 28 && p < limit; shift += 7) {
     uint32_t byte = static_cast<unsigned char>(*p++);
     if (byte & 0x80) {
       result |= (byte & 0x7f) << shift;
     } else {
+      // The 5th byte holds bits 28-31 only.
+      if (shift == 28 && byte > 0x0f) return nullptr;
       result |= byte << shift;
       *value = result;
       return p;
@@ -48,6 +39,8 @@ const char* GetVarint64Ptr(const char* p, const char* limit,
     if (byte & 0x80) {
       result |= (byte & 0x7f) << shift;
     } else {
+      // The 10th byte holds bit 63 only.
+      if (shift == 63 && byte > 0x01) return nullptr;
       result |= byte << shift;
       *value = result;
       return p;
@@ -56,44 +49,12 @@ const char* GetVarint64Ptr(const char* p, const char* limit,
   return nullptr;
 }
 
-bool GetVarint32(std::string_view* input, uint32_t* value) {
-  const char* p = input->data();
-  const char* limit = p + input->size();
-  const char* q = GetVarint32Ptr(p, limit, value);
-  if (q == nullptr) return false;
-  input->remove_prefix(static_cast<size_t>(q - p));
-  return true;
-}
-
 bool GetVarint64(std::string_view* input, uint64_t* value) {
   const char* p = input->data();
   const char* limit = p + input->size();
   const char* q = GetVarint64Ptr(p, limit, value);
   if (q == nullptr) return false;
   input->remove_prefix(static_cast<size_t>(q - p));
-  return true;
-}
-
-int VarintLength(uint64_t v) {
-  int len = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-void PutLengthPrefixed(std::string* dst, std::string_view value) {
-  PutVarint32(dst, static_cast<uint32_t>(value.size()));
-  dst->append(value.data(), value.size());
-}
-
-bool GetLengthPrefixed(std::string_view* input, std::string_view* result) {
-  uint32_t len = 0;
-  if (!GetVarint32(input, &len)) return false;
-  if (input->size() < len) return false;
-  *result = input->substr(0, len);
-  input->remove_prefix(len);
   return true;
 }
 

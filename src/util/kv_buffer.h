@@ -9,7 +9,9 @@
 #ifndef ONEPASS_UTIL_KV_BUFFER_H_
 #define ONEPASS_UTIL_KV_BUFFER_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -148,6 +150,24 @@ class KvBatchReader {
   std::vector<std::string_view> keys_;
   std::vector<std::string_view> values_;
 };
+
+// The first 8 bytes of `key` as a big-endian integer, zero-padded. Integer
+// order of prefixes agrees with byte-lexicographic key order whenever the
+// prefixes differ; equal prefixes decide nothing ("ab" and "ab\0" share
+// one), so sorted-order comparators test the prefix first and compare full
+// keys only on a tie. The map-side sort and SortedKvMerger share it.
+inline uint64_t KeyPrefix(std::string_view key) {
+  uint64_t p = 0;
+  if (key.size() >= 8) {
+    std::memcpy(&p, key.data(), 8);
+  } else if (!key.empty()) {
+    std::memcpy(&p, key.data(), key.size());
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    p = __builtin_bswap64(p);
+  }
+  return p;
+}
 
 // Serialized size of one record as KvBuffer stores it.
 inline uint64_t RecordBytes(std::string_view key, std::string_view value) {

@@ -85,6 +85,55 @@ TEST(CodingTest, TruncatedVarintFails) {
   }
 }
 
+TEST(CodingTest, OverlongVarint32Rejected) {
+  // 5th byte 0x7f would set bits 32-34; they used to be dropped silently,
+  // decoding to 0xffffffff.
+  const std::string overlong("\xff\xff\xff\xff\x7f", 5);
+  std::string_view in = overlong;
+  uint32_t v = 0;
+  EXPECT_FALSE(GetVarint32(&in, &v));
+  EXPECT_EQ(in.size(), 5u);  // nothing consumed
+  const std::string just_over("\xff\xff\xff\xff\x10", 5);
+  in = just_over;
+  EXPECT_FALSE(GetVarint32(&in, &v));
+  // The largest legal 5th byte still decodes.
+  const std::string max("\xff\xff\xff\xff\x0f", 5);
+  in = max;
+  ASSERT_TRUE(GetVarint32(&in, &v));
+  EXPECT_EQ(v, 0xffffffffu);
+  EXPECT_TRUE(in.empty());
+}
+
+TEST(CodingTest, OverlongVarint64Rejected) {
+  // 10th byte above 0x01 would set bits 64+.
+  std::string overlong(9, '\xff');
+  overlong.push_back('\x02');
+  std::string_view in = overlong;
+  uint64_t v = 0;
+  EXPECT_FALSE(GetVarint64(&in, &v));
+  overlong.back() = '\x7f';
+  in = overlong;
+  EXPECT_FALSE(GetVarint64(&in, &v));
+  overlong.back() = '\x01';
+  in = overlong;
+  ASSERT_TRUE(GetVarint64(&in, &v));
+  EXPECT_EQ(v, 0xffffffffffffffffULL);
+  EXPECT_TRUE(in.empty());
+}
+
+TEST(CodingTest, OneByteFastPathMatchesEncoder) {
+  for (uint32_t v = 0; v < 300; ++v) {
+    std::string s;
+    PutVarint32(&s, v);
+    s.push_back('\x80');  // trailing garbage must stay unread
+    std::string_view in = s;
+    uint32_t out = 0;
+    ASSERT_TRUE(GetVarint32(&in, &out)) << v;
+    EXPECT_EQ(out, v);
+    EXPECT_EQ(in.size(), 1u);
+  }
+}
+
 TEST(CodingTest, LengthPrefixedRoundTrip) {
   std::string s;
   PutLengthPrefixed(&s, "");

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/util/random.h"
+
 namespace onepass {
 namespace {
 
@@ -151,6 +156,74 @@ TEST(KvBufferTest, ShrinkToFitReleasesSlack) {
   EXPECT_EQ(k, "key");
   EXPECT_EQ(v, "value");
   EXPECT_EQ(buf.count(), 1u);
+}
+
+// KeyPrefix's contract: whenever two prefixes differ, their integer order
+// is the keys' byte-lexicographic order. Equal prefixes promise nothing.
+void ExpectPrefixAgrees(const std::string& a, const std::string& b) {
+  const uint64_t pa = KeyPrefix(a);
+  const uint64_t pb = KeyPrefix(b);
+  if (pa == pb) return;
+  EXPECT_EQ(pa < pb, std::string_view(a) < std::string_view(b))
+      << "a=" << testing::PrintToString(a)
+      << " b=" << testing::PrintToString(b);
+}
+
+TEST(KvBufferTest, KeyPrefixEdgeCases) {
+  const std::vector<std::string> keys = {
+      std::string(""),
+      std::string("\0", 1),
+      std::string("a"),
+      std::string("ab"),
+      std::string("ab\0", 3),
+      std::string("ab\x01"),
+      std::string("ab\xff"),
+      std::string("ab\x7f"),
+      std::string("ab\x80"),
+      std::string("1234567"),
+      std::string("12345678"),
+      std::string("12345678\0", 9),
+      std::string("123456789"),
+      std::string("12345679"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("\0\0\0\0\0\0\0\0", 8),
+      std::string("\0\0\0\0\0\0\0\0\x01", 9),
+  };
+  for (const auto& a : keys) {
+    for (const auto& b : keys) ExpectPrefixAgrees(a, b);
+  }
+  // Big-endian packing, zero padded.
+  EXPECT_EQ(KeyPrefix(""), 0u);
+  EXPECT_EQ(KeyPrefix("a"), uint64_t{0x61} << 56);
+  EXPECT_EQ(KeyPrefix("12345678"), 0x3132333435363738u);
+  EXPECT_EQ(KeyPrefix("123456789"), KeyPrefix("12345678"));
+  // Ties the prefix cannot break.
+  EXPECT_EQ(KeyPrefix("ab"), KeyPrefix(std::string("ab\0", 3)));
+  EXPECT_NE(KeyPrefix("ab"), KeyPrefix("ab\x01"));
+}
+
+TEST(KvBufferTest, KeyPrefixOrderMatchesStringOrderOnRandomPairs) {
+  Xoshiro256StarStar rng(77);
+  // Small alphabets with 0x00 and 0xff make shared prefixes, embedded NULs
+  // and proper-prefix pairs common.
+  const std::string alphabet("\0\x01\x7f\x80\xfe\xff" "ab", 8);
+  auto random_key = [&]() {
+    std::string k(rng.NextBounded(13), '\0');
+    for (char& c : k) c = alphabet[rng.NextBounded(alphabet.size())];
+    return k;
+  };
+  int decided = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const std::string a = random_key();
+    std::string b = random_key();
+    if (rng.NextBounded(4) == 0) {
+      b = a.substr(0, rng.NextBounded(a.size() + 1)) + b;
+    }
+    ExpectPrefixAgrees(a, b);
+    decided += KeyPrefix(a) != KeyPrefix(b);
+  }
+  EXPECT_GT(decided, 50000);  // the random pairs mostly test the fast path
 }
 
 }  // namespace

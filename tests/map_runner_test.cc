@@ -8,6 +8,8 @@
 
 #include <map>
 
+#include "src/util/crc32c.h"
+#include "src/util/random.h"
 #include "src/workloads/count_workloads.h"
 
 namespace onepass {
@@ -250,6 +252,112 @@ TEST(MapRunnerTest, TraceStartsWithStartupAndInputRead) {
   EXPECT_EQ(out->trace.ops[0].tag, OpTag::kStartup);
   EXPECT_EQ(out->trace.ops[1].tag, OpTag::kMapInput);
   EXPECT_TRUE(out->trace.ops[1].is_read);
+}
+
+// Tie-order pin for the sort path. std::sort is not stable, so records
+// with equal (partition, key) leave the map buffer in whatever order the
+// introsort's moves put them; sort-merge sessionization and order-sensitive
+// combiners see that order. The chunk mixes short keys, keys sharing long
+// prefixes, keys differing only past byte 8, and keys with embedded '\0' /
+// 0xFF bytes, each repeated many times with distinct values. The digests
+// pin every partition's bytes, equal-key order included, as the plain
+// (partition, key) comparison sorted them; a comparator or sort change that
+// moves any tie changes them.
+KvBuffer TieOrderChunk() {
+  const std::vector<std::string> keys = {
+      std::string(""),
+      std::string("a"),
+      std::string("ab"),
+      std::string("ab\0", 3),
+      std::string("ab\x01"),
+      std::string("ab\xff"),
+      std::string("ab\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("12345678"),
+      std::string("12345678\0", 9),
+      std::string("123456789"),
+      std::string("the quick brown"),
+      std::string("the quick brown fox"),
+      std::string("the quick brown fix"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff\x00", 9),
+      std::string("\0\0\0\0\0\0\0\0", 8),
+      std::string("\0\0\0\0\0\0\0\0\x01", 9),
+  };
+  Xoshiro256StarStar rng(2024);
+  KvBuffer chunk;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string& key = keys[rng.NextBounded(keys.size())];
+    chunk.Append(key, "v" + std::to_string(i) +
+                          std::string(rng.NextBounded(24), 'x'));
+  }
+  return chunk;
+}
+
+// CRC32C chained over every partition of every push, in push order.
+uint32_t PartitionDigest(const MapTaskOutput& out) {
+  uint32_t crc = 0;
+  for (const auto& push : out.pushes) {
+    for (const auto& part : push.partitions) {
+      crc = Crc32cExtend(crc, part.data());
+    }
+  }
+  return crc;
+}
+
+// True iff some equal-key run in some partition is not in emit order, i.e.
+// the pin below would see a change of the sort's tie permutation.
+bool HasUnstableTies(const MapTaskOutput& out) {
+  for (const auto& push : out.pushes) {
+    for (const auto& part : push.partitions) {
+      KvBufferReader reader(part);
+      std::string_view k, v;
+      std::string prev_key;
+      long prev_seq = -1;
+      bool first = true;
+      while (reader.Next(&k, &v)) {
+        const long seq = std::stol(std::string(v.substr(1)));
+        if (!first && k == prev_key && seq < prev_seq) return true;
+        first = false;
+        prev_key = std::string(k);
+        prev_seq = seq;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(MapRunnerTest, SortPathTieOrderIsPinned) {
+  const KvBuffer chunk = TieOrderChunk();
+  IdentityMapper mapper;
+  UniversalHashFamily family(1);
+  struct Case {
+    const char* name;
+    uint64_t map_buffer_bytes;
+    bool pipelining;
+    uint32_t digest;
+  };
+  const Case cases[] = {
+      // Whole chunk sorted in memory.
+      {"in-memory", 1 << 20, false, 0x27ee2c21u},
+      // Spilled runs merged by the external sort.
+      {"external", 8 << 10, false, 0xda2ecf39u},
+      // Every cut published as its own sorted push.
+      {"pipelined", 8 << 10, true, 0x90a95d44u},
+  };
+  for (const Case& c : cases) {
+    JobConfig cfg = BaseConfig(EngineKind::kSortMerge);
+    cfg.map_buffer_bytes = c.map_buffer_bytes;
+    cfg.pipelining = c.pipelining;
+    cfg.pipeline_push_bytes = c.pipelining ? c.map_buffer_bytes : 0;
+    MapRunner runner(cfg, MapOutputMode::kSortRaw, family.At(0), 3, &mapper,
+                     nullptr);
+    auto out = runner.Run(chunk);
+    ASSERT_TRUE(out.ok()) << c.name;
+    EXPECT_EQ(out->metrics.map_output_records, 3000u) << c.name;
+    EXPECT_TRUE(HasUnstableTies(*out)) << c.name;
+    EXPECT_EQ(PartitionDigest(*out), c.digest)
+        << c.name << ": 0x" << std::hex << PartitionDigest(*out);
+  }
 }
 
 }  // namespace
