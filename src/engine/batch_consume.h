@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/mr/metrics.h"
 #include "src/util/batch_hash.h"
 #include "src/util/hash.h"
 #include "src/util/kv_buffer.h"
@@ -42,7 +41,7 @@ struct NoProbePrefetch {
 template <typename ProbeTarget, typename Body>
 void ConsumeBatched(const KvBuffer& segment, size_t batch_records,
                     const UniversalHash& h, SimdTier tier,
-                    JobMetrics* metrics, std::vector<uint64_t>* digests,
+                    std::vector<uint64_t>* digests,
                     const ProbeTarget& probe, Body&& body) {
   constexpr size_t kD = kProbePrefetchDistance;
   if (batch_records == 0) batch_records = 1;
@@ -73,8 +72,6 @@ void ConsumeBatched(const KvBuffer& segment, size_t batch_records,
       if (i + kD < n) probe.PrefetchKey(d[i + kD]);
       body(keys[i], values[i], d[i]);
     }
-    metrics->record_batches += 1;
-    metrics->batched_records += n;
   }
 }
 

@@ -21,7 +21,7 @@ DincHashEngine::DincHashEngine(const EngineContext& ctx)
   CHECK(ctx.inc != nullptr) << "DINC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
   const uint64_t entry_cost = ctx.inc->StateBytesHint() + 16 /*avg key*/ +
-                              cfg.resident_entry_overhead;
+                              kResidentEntryOverhead;
   // Pick h so each bucket's distinct keys fit in memory when read back
   // (the paper: "setting h as small as possible increases s").
   num_buckets_ =
@@ -67,7 +67,7 @@ Status DincHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   // kProbePrefetchDistance tuples ahead.
   ConsumeBatched(
       segment, EffectiveBatchRecords(*ctx_.config), h3_,
-      CurrentSimdTier(), ctx_.metrics, &digest_scratch_,
+      CurrentSimdTier(), &digest_scratch_,
       *sketch_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;

@@ -45,8 +45,7 @@ Status BucketPassProcessor::ReduceInMemory(const KvBuffer& data,
   // walk's break skipped them (they are re-read by the repartition pass).
   ConsumeBatched(
       data, EffectiveBatchRecords(cfg), h, CurrentSimdTier(),
-      ctx_->metrics, &digest_scratch_,
-      table_,
+      &digest_scratch_, table_,
       [&](std::string_view key, std::string_view state, uint64_t digest) {
     if (*overflow) return;
     const uint32_t found = table_.Find(key, digest);
@@ -58,8 +57,8 @@ Status BucketPassProcessor::ReduceInMemory(const KvBuffer& data,
       ++combines;
       return;
     }
-    const uint64_t entry = key.size() + inc->StateBytesHint() +
-                           cfg.resident_entry_overhead;
+    const uint64_t entry =
+        key.size() + inc->StateBytesHint() + kResidentEntryOverhead;
     if (!force && bytes_used + entry > capacity_bytes_ && !table_.empty()) {
       *overflow = true;
       return;
@@ -107,7 +106,7 @@ Status BucketPassProcessor::Repartition(KvBuffer data, uint64_t level,
   // the hash.h identity, so sub-bucket assignment is unchanged.
   ConsumeBatched(
       data, EffectiveBatchRecords(cfg), h, CurrentSimdTier(),
-      ctx_->metrics, &digest_scratch_, NoProbePrefetch{},
+      &digest_scratch_, NoProbePrefetch{},
       [&](std::string_view key, std::string_view state, uint64_t digest) {
         subs.Add(static_cast<int>(FastRangeBucket(
                      digest, static_cast<uint64_t>(sub))),

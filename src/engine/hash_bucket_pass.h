@@ -27,6 +27,12 @@
 
 namespace onepass {
 
+// Per-entry bookkeeping overhead (hash-table slot, counter, pointers)
+// charged against reduce memory for each resident key, on top of the key
+// and the reducer's state-size hint. Shared by INC-hash, DINC-hash and
+// the bucket pass so all three budget a key identically.
+inline constexpr uint64_t kResidentEntryOverhead = 32;
+
 class BucketPassProcessor {
  public:
   // `ctx` must outlive the processor and carry an IncrementalReducer.

@@ -48,7 +48,7 @@ IncHashEngine::IncHashEngine(const EngineContext& ctx)
   CHECK(ctx.inc != nullptr) << "INC-hash requires an IncrementalReducer";
   const JobConfig& cfg = *ctx.config;
   const uint64_t entry_cost = ctx.inc->StateBytesHint() + 16 /*avg key*/ +
-                              cfg.resident_entry_overhead;
+                              kResidentEntryOverhead;
   num_buckets_ =
       cfg.expected_keys_per_reducer > 0
           ? ChooseNumBuckets(cfg.expected_keys_per_reducer,
@@ -81,7 +81,7 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   // same bucket h3_.Bucket would pick.
   ConsumeBatched(
       segment, EffectiveBatchRecords(*ctx_.config), h3_,
-      CurrentSimdTier(), ctx_.metrics, &digest_scratch_,
+      CurrentSimdTier(), &digest_scratch_,
       table_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;
@@ -108,8 +108,7 @@ Status IncHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
       ctx_.trace->Cpu(costs.combine_record_s, OpTag::kCombine,
                       /*d_reduce_work=*/1);
     } else {
-      const uint64_t entry = key.size() + hint +
-                             ctx_.config->resident_entry_overhead;
+      const uint64_t entry = key.size() + hint + kResidentEntryOverhead;
       if (resident_bytes_ + entry <= capacity_bytes_) {
         scratch_state_ = ctx_.values_are_states ? std::string(value)
                                                 : inc->Init(key, value);

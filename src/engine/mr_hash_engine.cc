@@ -73,7 +73,7 @@ Status MRHashEngine::Consume(const KvBuffer& segment, bool /*sorted*/) {
   // == h2_.Bucket(key, h+1) exactly, so routing is unchanged.
   ConsumeBatched(
       segment, EffectiveBatchRecords(*ctx_.config), h2_,
-      CurrentSimdTier(), ctx_.metrics, &digest_scratch_,
+      CurrentSimdTier(), &digest_scratch_,
       NoProbePrefetch{},  // no table to warm: records route to buffers
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     ++n;
@@ -156,7 +156,7 @@ void MRHashEngine::ProcessInMemory(const KvBuffer& data, uint64_t level) {
   // group-table control words prefetched kProbePrefetchDistance ahead.
   ConsumeBatched(
       data, EffectiveBatchRecords(*ctx_.config), h,
-      CurrentSimdTier(), ctx_.metrics, &digest_scratch_,
+      CurrentSimdTier(), &digest_scratch_,
       group_table_,
       [&](std::string_view key, std::string_view value, uint64_t digest) {
     bool inserted = false;

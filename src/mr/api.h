@@ -67,7 +67,7 @@ class Mapper {
   // order (the default loop). Mappers with per-record independence can
   // override to stage outputs and hand them to Emitter::EmitBatch in one
   // call. Overrides must preserve the scalar emit sequence exactly — the
-  // batch-equivalence property test compares full job fingerprints across
+  // config-space contract test compares full job fingerprints across
   // batch sizes.
   virtual void MapBatch(const RecordBatch& batch, Emitter* out) {
     for (size_t i = 0; i < batch.size; ++i) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,6 +29,13 @@
 
 namespace onepass {
 namespace {
+
+// A task re-run with the block codec off, reduced to what the provisional
+// replay needs: its trace and the op that publishes each push.
+struct CodecFreeTrace {
+  CostTrace trace;
+  std::map<uint32_t, uint32_t> gates;  // gate op -> push index
+};
 
 double WallSeconds() {
   return std::chrono::duration<double>(
@@ -144,7 +152,17 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   // Concurrent tasks share the reader, but task m only touches chunk m's
   // replica view, and all fault/corruption draws are pure functions of
   // (task id, stream id).
+  //
+  // Under a block codec each task also runs once with the codec off, and
+  // phase 2 orders deliveries by those codec-free traces: encoded sizes
+  // move simulated publish times, and an order-sensitive reducer must see
+  // the same deliveries in the same order under kNone and kLz (DESIGN.md
+  // §5.5). Only the trace and push gates of that run are kept.
   ChunkReader chunk_reader(&input, config.integrity, &pj.plan);
+  const bool coded = config.block_codec != BlockCodecKind::kNone;
+  JobConfig codec_free_config = config;
+  codec_free_config.block_codec = BlockCodecKind::kNone;
+  std::vector<CodecFreeTrace> codec_free(coded ? num_maps : 0);
   std::vector<MapTaskOutput> map_outs(num_maps);
   std::vector<Status> map_statuses(num_maps, Status::OK());
   const double map_plane_start = WallSeconds();
@@ -158,17 +176,31 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
           map_statuses[m] = records.status();
           return;
         }
-        std::unique_ptr<Mapper> mapper = spec.mapper();
-        std::unique_ptr<IncrementalReducer> inc =
-            has_inc ? spec.inc() : nullptr;
-        MapRunner runner(config, mode, h1, total_reducers, mapper.get(),
-                         inc.get(), &pj.plan, static_cast<int>(m));
-        Result<MapTaskOutput> mo = runner.Run(records.value(), &read_stats);
+        auto run_map = [&](const JobConfig& cfg) {
+          std::unique_ptr<Mapper> mapper = spec.mapper();
+          std::unique_ptr<IncrementalReducer> inc =
+              has_inc ? spec.inc() : nullptr;
+          MapRunner runner(cfg, mode, h1, total_reducers, mapper.get(),
+                           inc.get(), &pj.plan, static_cast<int>(m));
+          return runner.Run(records.value(), &read_stats);
+        };
+        Result<MapTaskOutput> mo = run_map(config);
         if (!mo.ok()) {
           map_statuses[m] = mo.status();
           return;
         }
         map_outs[m] = std::move(mo).value();
+        if (coded) {
+          Result<MapTaskOutput> raw = run_map(codec_free_config);
+          if (!raw.ok()) {
+            map_statuses[m] = raw.status();
+            return;
+          }
+          codec_free[m].trace = std::move(raw->trace);
+          for (uint32_t p = 0; p < raw->pushes.size(); ++p) {
+            codec_free[m].gates[raw->pushes[p].gate_op] = p;
+          }
+        }
       },
       map_statuses));
   result.map_plane_wall_s = WallSeconds() - map_plane_start;
@@ -242,19 +274,30 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
     }
     const bool sorted_feeds = mode == MapOutputMode::kSortCombine;
     std::vector<NodeCombineOutput> combine_outs(combine_nodes.size());
+    if (coded) codec_free.resize(num_maps + combine_nodes.size());
     std::vector<Status> combine_statuses(combine_nodes.size(), Status::OK());
     const double combine_start = WallSeconds();
     RETURN_IF_ERROR(RunDataPlaneTasks(
         pool ? &*pool : nullptr, combine_nodes.size(),
         [&](size_t i) {
           const int n = combine_nodes[i];
-          std::unique_ptr<IncrementalReducer> inc = spec.inc();
-          NodeCombiner combiner(config, h1, total_reducers, inc.get());
           std::vector<const MapTaskOutput*> feeds;
           for (int m : node_tasks[static_cast<size_t>(n)]) {
             feeds.push_back(&map_outs[static_cast<size_t>(m)]);
           }
-          combine_outs[i] = combiner.Run(feeds, sorted_feeds);
+          auto run_combine = [&](const JobConfig& cfg) {
+            std::unique_ptr<IncrementalReducer> inc = spec.inc();
+            return NodeCombiner(cfg, h1, total_reducers, inc.get())
+                .Run(feeds, sorted_feeds);
+          };
+          combine_outs[i] = run_combine(config);
+          // The feeds are raw under any codec, so the codec-free combine
+          // reads the same ones.
+          if (coded) {
+            NodeCombineOutput raw = run_combine(codec_free_config);
+            codec_free[num_maps + i] = {std::move(raw.trace),
+                                        {{raw.push.gate_op, 0}}};
+          }
         },
         combine_statuses));
     result.map_plane_wall_s += WallSeconds() - combine_start;
@@ -293,13 +336,20 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   // Runs under the same FaultPlan as the full replay, so crash-forced map
   // re-executions shift publish times the same way the cluster would see
   // them. The order is only a consumption-order contract for the reduce
-  // data plane; the full replay is authoritative for timing.
+  // data plane; the full replay is authoritative for timing. Under a
+  // block codec it replays the codec-free traces (phase 1).
   std::vector<std::pair<int, uint32_t>> delivery_order;
   {
+    std::vector<Replayer::MapTaskIn> order_ins = pj.map_ins;
+    for (size_t m = 0; m < codec_free.size(); ++m) {
+      CHECK_EQ(codec_free[m].gates.size(), order_ins[m].gates.size());
+      order_ins[m].trace = &codec_free[m].trace;
+      order_ins[m].gates = codec_free[m].gates;
+    }
     sim::Engine engine;
     SlotPool slots(&engine, pj.config.cluster);
-    Replayer provisional(&engine, &slots, pj.config, pj.plan, pj.map_ins,
-                         {}, {});
+    Replayer provisional(&engine, &slots, codec_free_config, pj.plan,
+                         std::move(order_ins), {}, {});
     RETURN_IF_ERROR(provisional.Run());
     std::vector<std::pair<double, std::pair<int, uint32_t>>> order;
     for (size_t m = 0; m < map_outs.size(); ++m) {

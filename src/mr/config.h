@@ -138,16 +138,12 @@ struct JobConfig {
   // skipping the disk-resident buckets (approximate early answers, §4.3).
   double dinc_coverage_threshold = 0;
 
-  // Per-entry bookkeeping overhead charged against reduce memory for each
-  // resident key (hash-table slot, counter, pointers).
-  uint64_t resident_entry_overhead = 32;
-
   // Batch data plane (DESIGN.md §5.8). Records per RecordBatch handed
   // through MapBatch and the engines' consume loops. 0 derives the batch
   // from codec_block_bytes (the ~48 KB block is the natural unit; see
   // EffectiveBatchRecords). Any value — including 1, the degenerate
   // scalar-equivalent plane — produces byte-identical outputs, schedules,
-  // and serialized metrics; the batch_equivalence test enforces this.
+  // and serialized metrics; tests/config_space_test.cc enforces this.
   uint64_t batch_records = 0;
 
   // Fault injection & recovery (simulated time plane; see
@@ -187,9 +183,10 @@ struct JobConfig {
   // byte-identical to the pre-codec platform, so goldens don't move. kLz
   // routes those streams through BlockBuilder (prefix coding on sorted
   // runs, run-length key grouping on hash buckets) plus the LZ block
-  // codec; CRCs then cover the *encoded* image. Either way the records a
-  // consumer sees are identical — only the bytes charged for moving them
-  // change.
+  // codec; CRCs then cover the *encoded* image. Either way a reducer sees
+  // the same records in the same order — the delivery order comes from
+  // codec-free traces (DESIGN.md §5.5) — and only the bytes charged for
+  // moving them change.
   BlockCodecKind block_codec = BlockCodecKind::kNone;
   // Target raw bytes per encoded block (32-64 KB is the useful range).
   uint64_t codec_block_bytes = 48 << 10;

@@ -395,8 +395,6 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
         if (bn == 0) break;
         const RecordBatch rb{reader.keys(), reader.values(), bn};
         mapper_->MapBatch(rb, &emitter);
-        out.metrics.record_batches += 1;
-        out.metrics.batched_records += bn;
       }
       trace.Cpu(map_fn_cost, OpTag::kMapFn);
       const double per_record =
@@ -431,8 +429,6 @@ Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,
             emitter.FlushTo(&parts, &out_bytes, &out_records);
           }
         }
-        out.metrics.record_batches += 1;
-        out.metrics.batched_records += bn;
       }
       emitter.FlushTo(&parts, &out_bytes, &out_records);
       emitter.FlushStatsTo(&out.metrics);
@@ -580,8 +576,6 @@ Status MapRunner::RunSortPath(const KvBuffer& chunk, double map_fn_cost,
         sort_and_cut(CutKind::kSpill);
       }
     }
-    out->metrics.record_batches += 1;
-    out->metrics.batched_records += bn;
   }
   out->sorted = true;
 

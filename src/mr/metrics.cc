@@ -80,8 +80,6 @@ void JobMetrics::Merge(const JobMetrics& o) {
   codec_bucket_encoded_bytes += o.codec_bucket_encoded_bytes;
   compress_ns += o.compress_ns;
   decompress_ns += o.decompress_ns;
-  record_batches += o.record_batches;
-  batched_records += o.batched_records;
   hash_table_probes += o.hash_table_probes;
   hash_table_rehashes += o.hash_table_rehashes;
   if (o.hash_table_max_probe > hash_table_max_probe) {
@@ -182,9 +180,7 @@ std::string JobMetrics::Serialize() const {
   put_u64("codec_bucket_encoded_bytes", codec_bucket_encoded_bytes);
   // compress_ns / decompress_ns are host wall-clock and intentionally not
   // serialized: Serialize() must stay deterministic across runs and
-  // data_plane_threads settings (see metrics.h). record_batches /
-  // batched_records are likewise excluded: they vary with batch_records,
-  // which must never show in goldens or equivalence fingerprints.
+  // data_plane_threads settings (see metrics.h).
   put_u64("hash_table_probes", hash_table_probes);
   put_u64("hash_table_rehashes", hash_table_rehashes);
   put_u64("hash_table_max_probe", hash_table_max_probe);

@@ -142,15 +142,6 @@ struct JobMetrics {
   double compress_ns = 0;
   double decompress_ns = 0;
 
-  // --- Batch data plane (DESIGN.md §5.8) ---
-  // How many RecordBatches the batched consume/map loops filled and how
-  // many records flowed through them. record_batches varies with
-  // batch_records (it is a host-side batching artifact, like compress_ns),
-  // so both counters are EXCLUDED from Serialize(): goldens and the
-  // batch-equivalence fingerprints must be identical at every batch size.
-  uint64_t record_batches = 0;
-  uint64_t batched_records = 0;
-
   // --- Hash core (FlatTable; DESIGN.md §5.4) ---
   // Counters from every FlatTable the job's tasks ran: engine state
   // tables, bucket-pass tables, sketch indexes, map-side combiners.

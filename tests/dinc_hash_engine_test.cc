@@ -169,8 +169,9 @@ TEST(DincHashEngineTest, RequiresIncrementalReducer) {
 TEST(DincHashEngineTest, SingleSlotDegeneratesGracefully) {
   EngineHarness h;
   h.inc = std::make_unique<CountingIncReducer>(0);
-  h.config.reduce_memory_bytes = 1 << 10;
-  h.config.resident_entry_overhead = 400;  // giant entries -> ~1 slot
+  // The 512 B bucket page reserves all of reduce memory -> 1 slot, and a
+  // 64 B bucket pass that holds one key at a time.
+  h.config.reduce_memory_bytes = 512;
   h.config.expected_keys_per_reducer = 50;
   ASSERT_TRUE(h.Init(EngineKind::kDincHash, true).ok());
   std::map<std::string, uint64_t> expected;

@@ -74,8 +74,8 @@ TEST_P(EngineParamTest, ClickCountMatchesReference) {
   GenerateClickStream(SmallClicks(), &input);
   const auto expected = ReferenceClickCounts(input, ClickKeyField::kUser);
 
-  // Two ample reduce memories; parallel_determinism_test covers the tight
-  // 8 KB regime.
+  // Two ample reduce memories; config_space_test covers the tight 8 KB
+  // regime.
   for (const uint64_t memory : {4u << 20, 1u << 20}) {
     JobConfig cfg = SmallCluster(GetParam());
     cfg.map_side_combine = true;

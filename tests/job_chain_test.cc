@@ -13,26 +13,13 @@
 #include "src/mr/job_builder.h"
 #include "src/mr/job_chain.h"
 #include "src/mr/job_manager.h"
+#include "src/mr/resident.h"
 #include "src/workloads/iterative.h"
 #include "src/workloads/jobs.h"
+#include "tests/job_result_util.h"
 
 namespace onepass {
 namespace {
-
-std::string SortedOutputs(const JobResult& r) {
-  std::vector<std::string> lines;
-  lines.reserve(r.outputs.size());
-  for (const Record& rec : r.outputs) {
-    lines.push_back(rec.key + "=" + rec.value);
-  }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& l : lines) {
-    out += l;
-    out += '\n';
-  }
-  return out;
-}
 
 JobConfig ChainConfig(EngineKind engine) {
   JobConfig cfg;
@@ -89,7 +76,8 @@ TEST_P(JobChainExactness, GrowingLogChainEqualsColdJobOverUnion) {
       carries ? *log.fulls.back() : *log.deltas.back());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
-  EXPECT_EQ(SortedOutputs(chain->iterations.back()), SortedOutputs(*cold))
+  EXPECT_EQ(SortedOutputs(chain->iterations.back().outputs),
+            SortedOutputs(cold->outputs))
       << "chain refresh diverged from the cold reference job";
   const JobMetrics& warm = chain->iterations.back().metrics;
   if (carries) {
@@ -162,9 +150,9 @@ TEST(JobChainTest, RepeatedSameInputChainIsExactAndCachesInput) {
   auto cold = LocalCluster::RunJob(LabelPropagationJob(), cold_cfg, input);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
 
-  const std::string want = SortedOutputs(*cold);
+  const std::string want = SortedOutputs(cold->outputs);
   for (const JobResult& iter : chain->iterations) {
-    EXPECT_EQ(SortedOutputs(iter), want);
+    EXPECT_EQ(SortedOutputs(iter.outputs), want);
   }
   EXPECT_EQ(chain->iterations[0].metrics.resident_cached_input_bytes, 0u);
   EXPECT_GT(chain->iterations[1].metrics.resident_cached_input_bytes, 0u);
@@ -229,6 +217,29 @@ TEST(JobChainTest, RejectsMalformedChains) {
     };
     EXPECT_FALSE(RunJobChain(stages).ok());
   }
+}
+
+TEST(ResidentSegmentCacheTest, EvictsOldestBeyondBudget) {
+  ResidentSegmentCache cache(/*nodes=*/2, /*budget_bytes=*/1000);
+  EXPECT_TRUE(cache.Admit(0, 0, 0, 400).empty());
+  EXPECT_TRUE(cache.Admit(0, 0, 1, 400).empty());
+  // Third segment pushes node 0 over budget: the oldest goes.
+  const auto evicted = cache.Admit(0, 1, 0, 400);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0].first, 0);
+  EXPECT_EQ(evicted[0].second, 0u);
+  EXPECT_EQ(cache.resident_bytes(0), 800u);
+  // Budgets are per producing node: node 1 is untouched.
+  EXPECT_TRUE(cache.Admit(1, 2, 0, 900).empty());
+  EXPECT_EQ(cache.resident_bytes(1), 900u);
+}
+
+TEST(ResidentSegmentCacheTest, ZeroBudgetIsUnbounded) {
+  ResidentSegmentCache cache(/*nodes=*/1, /*budget_bytes=*/0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(cache.Admit(0, i, 0, 1 << 20).empty());
+  }
+  EXPECT_EQ(cache.resident_bytes(0), 100u << 20);
 }
 
 }  // namespace
