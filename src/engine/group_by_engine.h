@@ -97,10 +97,19 @@ class GroupByEngine {
   EngineContext ctx_;
 };
 
-// Creates the engine implementing `kind`. The context must carry a Reducer
-// for kSortMerge/kMRHash and an IncrementalReducer for kIncHash/kDincHash
-// (kSortMerge may additionally carry an IncrementalReducer to act as the
-// reduce-side combiner).
+// The spec <-> engine rule (PAPER.md §1.2): which reduce API each engine
+// needs. MR-hash needs the values-list Reducer, INC/DINC-hash need the
+// IncrementalReducer (init/cb/fn), and sort-merge needs a Reducer or, for
+// a combiner-only job, an IncrementalReducer whose states the map side
+// already produced (`values_are_states`, from SelectMapOutputMode).
+// LocalCluster::PrepareJob checks it before any map task runs, and
+// CreateGroupByEngine checks it again for every engine it builds.
+Status CheckReduceApi(EngineKind kind, bool has_reducer, bool has_inc,
+                      bool values_are_states);
+
+// Creates the engine implementing `kind` after checking CheckReduceApi on
+// the context's reducers. kSortMerge may carry an IncrementalReducer next
+// to its Reducer to act as the reduce-side combiner.
 Result<std::unique_ptr<GroupByEngine>> CreateGroupByEngine(
     EngineKind kind, const EngineContext& ctx);
 

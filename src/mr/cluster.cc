@@ -79,18 +79,11 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   const ClusterConfig& cl = config.cluster;
 
   const bool has_inc = static_cast<bool>(spec.inc);
-  if ((config.engine == EngineKind::kIncHash ||
-       config.engine == EngineKind::kDincHash) &&
-      !has_inc) {
-    return Status::InvalidArgument(
-        "incremental engines need an IncrementalReducer factory");
-  }
-  if ((config.engine == EngineKind::kSortMerge ||
-       config.engine == EngineKind::kMRHash) &&
-      !spec.reducer && !(has_inc && config.map_side_combine)) {
-    return Status::InvalidArgument(
-        "sort-merge / MR-hash need a Reducer factory");
-  }
+  const MapOutputMode mode = SelectMapOutputMode(config, has_inc);
+  const bool values_are_states = ModeProducesStates(mode);
+  RETURN_IF_ERROR(CheckReduceApi(config.engine,
+                                 static_cast<bool>(spec.reducer), has_inc,
+                                 values_are_states));
   const bool node_combine = config.combine_scope == CombineScope::kNode;
   if (node_combine && !has_inc) {
     return Status::InvalidArgument(
@@ -122,8 +115,6 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   }
   const UniversalHashFamily hashes(config.seed);
   const UniversalHash h1 = hashes.At(0);
-  const MapOutputMode mode = SelectMapOutputMode(config, has_inc);
-  const bool values_are_states = ModeProducesStates(mode);
 
   PreparedJob pj(config);
   JobResult& result = pj.result;
@@ -518,10 +509,7 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
                                   (config.snapshots + 1));
           }
         }
-        const bool ckpt_enabled = config.checkpoint_interval_segments > 0 ||
-                                  config.checkpoint_interval_bytes > 0;
         uint64_t ckpt_segments = 0;
-        uint64_t ckpt_bytes = 0;
         size_t delivery_index = 0;
         for (const auto& [m, p] : delivery_order) {
           const PushSegment& push = map_outs[m].pushes[p];
@@ -607,15 +595,10 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
           // placement, and recovery from the recorded marks. A checkpoint
           // after the final delivery is useless (Finish follows at once)
           // and skipped.
-          if (ckpt_enabled) {
+          if (config.checkpoint_interval_segments > 0) {
             ckpt_segments += 1;
-            ckpt_bytes += wire_bytes;
-            const bool interval_hit =
-                (config.checkpoint_interval_segments > 0 &&
-                 ckpt_segments >= config.checkpoint_interval_segments) ||
-                (config.checkpoint_interval_bytes > 0 &&
-                 ckpt_bytes >= config.checkpoint_interval_bytes);
-            if (interval_hit && delivery_index < delivery_order.size()) {
+            if (ckpt_segments >= config.checkpoint_interval_segments &&
+                delivery_index < delivery_order.size()) {
               CheckpointWriter w;
               const Status saved = task->engine->SaveCheckpoint(&w);
               if (!saved.ok()) {
@@ -649,7 +632,6 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
                   static_cast<uint32_t>(task->trace.ops.size()) - 1;
               task->checkpoints.push_back(mark);
               ckpt_segments = 0;
-              ckpt_bytes = 0;
             }
           }
         }
@@ -766,12 +748,8 @@ Result<PreparedJob> LocalCluster::PrepareJob(const JobSpec& spec,
   return pj;
 }
 
-Result<JobResult> LocalCluster::RunJob(const JobSpec& spec,
-                                       const JobConfig& config,
-                                       const ChunkStore& input) {
-  ASSIGN_OR_RETURN(PreparedJob pj, PrepareJob(spec, config, input));
-
-  // ---- Phase 4: full replay ----
+Result<JobResult> LocalCluster::ReplaySolo(PreparedJob pj,
+                                           PartitionPlacement* placement) {
   sim::Engine engine;
   SlotPool slots(&engine, pj.config.cluster);
   Replayer replay(&engine, &slots, pj.config, pj.plan, pj.map_ins,
@@ -788,7 +766,26 @@ Result<JobResult> LocalCluster::RunJob(const JobSpec& spec,
       pj.config.timeline_bin_s,
       std::max(replay.end_time(), pj.config.timeline_bin_s),
       &result.cpu_util, &result.iowait);
+
+  if (placement != nullptr) {
+    placement->map_node.resize(pj.map_ins.size());
+    for (size_t m = 0; m < pj.map_ins.size(); ++m) {
+      placement->map_node[m] = replay.map_winner_node(static_cast<int>(m));
+    }
+    placement->reduce_node.resize(pj.reduce_ins.size());
+    for (size_t r = 0; r < pj.reduce_ins.size(); ++r) {
+      placement->reduce_node[r] =
+          replay.reduce_winner_node(static_cast<int>(r));
+    }
+  }
   return result;
+}
+
+Result<JobResult> LocalCluster::RunJob(const JobSpec& spec,
+                                       const JobConfig& config,
+                                       const ChunkStore& input) {
+  ASSIGN_OR_RETURN(PreparedJob pj, PrepareJob(spec, config, input));
+  return ReplaySolo(std::move(pj));
 }
 
 }  // namespace onepass

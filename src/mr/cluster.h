@@ -29,8 +29,9 @@
 // PrepareJob runs steps 1–3 and packages everything step 4 needs into a
 // self-contained PreparedJob, so a scheduler (src/mr/job_manager.h) can
 // replay many prepared jobs on one shared SlotPool. RunJob is the solo
-// path: PrepareJob plus a single-job replay, byte-identical to the
-// historical monolithic implementation.
+// path: PrepareJob plus ReplaySolo, byte-identical to the historical
+// monolithic implementation. Job chains (src/mr/job_chain.h) replay each
+// stage through ReplaySolo too.
 
 #ifndef ONEPASS_MR_CLUSTER_H_
 #define ONEPASS_MR_CLUSTER_H_
@@ -158,6 +159,13 @@ class LocalCluster {
                                         const ChunkStore& input,
                                         const ResidentContext* resident =
                                             nullptr);
+
+  // Step 4 alone: replays `pj` on a fresh cluster of its own and completes
+  // its JobResult. `placement` (may be null) receives the node whose
+  // attempt won each map and reduce task, which the next stage of a chain
+  // pins its tasks to.
+  static Result<JobResult> ReplaySolo(PreparedJob pj,
+                                      PartitionPlacement* placement = nullptr);
 };
 
 }  // namespace onepass

@@ -59,6 +59,21 @@ Status JobConfig::Validate() const {
     return Status::InvalidArgument(
         "dinc_coverage_threshold outside (0, 1]");
   }
+  if (dinc_coverage_threshold > 0 && engine != EngineKind::kDincHash) {
+    return Status::InvalidArgument(
+        "dinc_coverage_threshold is a DINC-hash feature, got engine " +
+        std::string(EngineKindName(engine)));
+  }
+  if (pipelining && engine != EngineKind::kSortMerge) {
+    return Status::InvalidArgument(
+        "pipelining applies to the sort-merge engine (the hash engines are "
+        "already incremental), got engine " +
+        std::string(EngineKindName(engine)));
+  }
+  if (snapshots < 0) {
+    return Status::InvalidArgument("snapshots must be >= 0, got " +
+                                   std::to_string(snapshots));
+  }
   if (replication < 1 || replication > cluster.nodes) {
     return Status::InvalidArgument(
         "replication must be in [1, nodes], got " +
@@ -95,10 +110,6 @@ Status JobConfig::Validate() const {
         "below one segment would spill everything, got " +
         std::to_string(resident_cache_bytes));
   }
-  if (iterations < 1 || iterations > 64) {
-    return Status::InvalidArgument(
-        "iterations must be in [1, 64], got " + std::to_string(iterations));
-  }
   if (combine_scope == CombineScope::kNode) {
     if (pipelining) {
       return Status::InvalidArgument(
@@ -120,7 +131,7 @@ Status JobConfig::Validate() const {
         "got " +
         std::to_string(node_combine_budget_bytes));
   }
-  if (checkpoint_interval_segments > 0 || checkpoint_interval_bytes > 0) {
+  if (checkpoint_interval_segments > 0) {
     if (checkpoint_replication < 1 ||
         checkpoint_replication > cluster.nodes) {
       return Status::InvalidArgument(

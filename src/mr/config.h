@@ -73,7 +73,8 @@ struct JobConfig {
 
   // MapReduce Online-style pipelining (§2.2/§3.3): mappers push output
   // eagerly at spill granularity instead of publishing once at task end.
-  // Only meaningful for the sort-merge engine.
+  // Sort-merge only; Validate() rejects it on the hash engines, which are
+  // already incremental.
   bool pipelining = false;
   // Pipelining transmission granularity ("controlled by a parameter" in
   // HOP): the map cuts and pushes a sorted run every this many output
@@ -136,6 +137,7 @@ struct JobConfig {
   // DINC-hash coverage threshold phi in (0,1]: if set, the job terminates
   // at end of input returning states with coverage lower bound >= phi and
   // skipping the disk-resident buckets (approximate early answers, §4.3).
+  // DINC-hash only; Validate() rejects a threshold on any other engine.
   double dinc_coverage_threshold = 0;
 
   // Batch data plane (DESIGN.md §5.8). Records per RecordBatch handed
@@ -151,17 +153,15 @@ struct JobConfig {
   sim::FaultConfig faults;
 
   // Reduce-state checkpointing (DESIGN.md §5.6): every N shuffle
-  // deliveries (checkpoint_interval_segments) or every time this many
-  // consumed shuffle bytes accumulate (checkpoint_interval_bytes), a
-  // reducer serializes its engine state through the framed/CRC +
-  // block-codec path and writes it as `checkpoint_replication` replicated
-  // copies (local disk + peers over the network). A crashed reducer then
-  // resumes from the newest verified replica and re-fetches only the
-  // segments past the checkpoint's watermark instead of replaying the
-  // whole shuffle. 0/0 (the default) disables checkpointing, leaving
-  // schedules byte-identical to the pre-checkpoint platform.
+  // deliveries (checkpoint_interval_segments), a reducer serializes its
+  // engine state through the framed/CRC + block-codec path and writes it
+  // as `checkpoint_replication` replicated copies (local disk + peers over
+  // the network). A crashed reducer then resumes from the newest verified
+  // replica and re-fetches only the segments past the checkpoint's
+  // watermark instead of replaying the whole shuffle. 0 (the default)
+  // disables checkpointing, leaving schedules byte-identical to the
+  // pre-checkpoint platform.
   uint64_t checkpoint_interval_segments = 0;
-  uint64_t checkpoint_interval_bytes = 0;
   int checkpoint_replication = 2;
 
   // Shuffle delivery mode (see ShuffleMode). Resident mode changes only
@@ -173,10 +173,6 @@ struct JobConfig {
   // node spill to disk until the node is back under budget. Ignored under
   // kDisk.
   uint64_t resident_cache_bytes = 0;
-  // Iteration count for JobBuilder::Iterate / RunChain: how many times the
-  // job is run as a chained sequence with partition-stable placement and
-  // (for INC/DINC) reduce-state carry-over. 1 = an ordinary single job.
-  int iterations = 1;
 
   // Block codec for every spill/shuffle/bucket stream (DESIGN.md §5.5).
   // kNone keeps the raw varint record format on disk and on the wire —
@@ -215,9 +211,14 @@ struct JobConfig {
 
   // Rejects configurations no job could run under: empty/negative cluster
   // shapes, merge_factor < 2, zero chunk or buffer sizes, coverage
-  // thresholds outside (0, 1], replication > nodes, and malformed fault
-  // plans (negative times, out-of-range nodes or rates). Called at the top
-  // of LocalCluster::RunJob.
+  // thresholds outside (0, 1], replication > nodes, negative snapshot
+  // counts, knobs set on an engine that does not have them (pipelining
+  // off sort-merge, a coverage threshold off DINC-hash), and malformed
+  // fault plans (negative times, out-of-range nodes or rates). These are
+  // the rules that need only the config; whether the JobSpec carries the
+  // reduce API the engine needs is CheckReduceApi's rule
+  // (src/engine/group_by_engine.h). LocalCluster::PrepareJob applies both
+  // before any task runs.
   Status Validate() const;
 };
 

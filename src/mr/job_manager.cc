@@ -420,9 +420,4 @@ Result<ManagerResult> JobManager::Run(const ManagerConfig& config,
   return run.Run();
 }
 
-Result<ChainResult> JobManager::RunChain(
-    const std::vector<ChainStage>& stages) {
-  return RunJobChain(stages);
-}
-
 }  // namespace onepass

@@ -28,6 +28,10 @@
 // every scheduling decision is a pure function of the registered state.
 // Two Run() calls with the same inputs produce identical ManagerResults
 // at every data_plane_threads setting.
+//
+// Iterative job chains do not run here: each stage's placement must be
+// honored exactly, which a shared pool cannot promise, so RunJobChain
+// (src/mr/job_chain.h) replays every stage solo.
 
 #ifndef ONEPASS_MR_JOB_MANAGER_H_
 #define ONEPASS_MR_JOB_MANAGER_H_
@@ -38,7 +42,6 @@
 #include "src/common/status.h"
 #include "src/dfs/chunk_store.h"
 #include "src/mr/cluster.h"
-#include "src/mr/job_chain.h"
 #include "src/mr/slot_pool.h"
 #include "src/sim/retry_policy.h"
 #include "src/sim/timeline.h"
@@ -163,14 +166,6 @@ class JobManager {
   // outcomes, not in the returned Status.
   static Result<ManagerResult> Run(const ManagerConfig& config,
                                    const std::vector<JobSubmission>& jobs);
-
-  // Runs an iterative job sequence with M3R-style reuse between stages
-  // (DESIGN.md §5.9). Chains are solo by construction — each stage's
-  // placement must be honored exactly, which a multi-tenant pool cannot
-  // promise — so this delegates to RunJobChain rather than the shared
-  // SlotPool. See JobBuilder::Iterate for the common same-job-n-times
-  // form.
-  static Result<ChainResult> RunChain(const std::vector<ChainStage>& stages);
 };
 
 }  // namespace onepass

@@ -229,7 +229,6 @@ MapOutputMode SelectMapOutputMode(const JobConfig& config, bool has_inc) {
       return combine ? MapOutputMode::kHashCombine : MapOutputMode::kHashRaw;
     case EngineKind::kIncHash:
     case EngineKind::kDincHash:
-      CHECK(has_inc) << "incremental engines need an IncrementalReducer";
       return combine ? MapOutputMode::kHashCombine : MapOutputMode::kHashInit;
   }
   return MapOutputMode::kSortRaw;
@@ -251,58 +250,55 @@ MapRunner::MapRunner(const JobConfig& config, MapOutputMode mode,
   if (ModeProducesStates(mode)) CHECK(inc != nullptr);
 }
 
-void StampPushSegmentCrcs(const JobConfig& config, PushSegment* push) {
-  if (!config.integrity.checksums) return;
-  if (!push->encoded.empty()) {
-    // Codec path: the wire/disk image is the encoded block stream, so the
-    // CRC covers post-compression bytes (DESIGN.md §5.5).
-    push->crcs.reserve(push->encoded.size());
-    for (const std::string& enc : push->encoded) {
-      push->crcs.push_back(Crc32c(enc));
+PushSegment PublishPush(const JobConfig& config, std::vector<KvBuffer> parts,
+                        uint64_t bytes, uint64_t records, bool sorted,
+                        OpTag tag, TraceRecorder* trace, JobMetrics* metrics) {
+  PushSegment push;
+  push.partitions = std::move(parts);
+  push.bytes = bytes;
+  if (config.block_codec != BlockCodecKind::kNone) {
+    const BlockEncoding encoding =
+        sorted ? BlockEncoding::kPrefix : BlockEncoding::kGrouped;
+    CodecStats stats;
+    push.encoded.reserve(push.partitions.size());
+    uint64_t encoded_total = 0;
+    for (KvBuffer& part : push.partitions) {
+      std::string enc;
+      if (!part.empty()) {
+        enc = EncodeKvStream(part, encoding, config.block_codec,
+                             config.codec_block_bytes, &stats);
+      }
+      encoded_total += enc.size();
+      push.encoded.push_back(std::move(enc));
+      part = KvBuffer();  // the encoded image supersedes the raw partition
     }
-    return;
+    trace->Cpu(config.costs.compress_byte_s * static_cast<double>(bytes),
+               tag);
+    metrics->codec_shuffle_raw_bytes += bytes;
+    metrics->codec_shuffle_encoded_bytes += encoded_total;
+    metrics->compress_ns += stats.compress_ns;
+    push.bytes = encoded_total;
   }
-  push->crcs.reserve(push->partitions.size());
-  for (const KvBuffer& part : push->partitions) {
-    push->crcs.push_back(Crc32c(part.data()));
-  }
-}
-
-void EncodePushSegment(const JobConfig& config, PushSegment* push,
-                       bool sorted, OpTag tag, TraceRecorder* trace,
-                       JobMetrics* metrics) {
-  if (config.block_codec == BlockCodecKind::kNone) return;
-  const uint64_t raw_bytes = push->bytes;
-  const BlockEncoding encoding =
-      sorted ? BlockEncoding::kPrefix : BlockEncoding::kGrouped;
-  CodecStats stats;
-  push->encoded.reserve(push->partitions.size());
-  uint64_t encoded_total = 0;
-  for (KvBuffer& part : push->partitions) {
-    std::string enc;
-    if (!part.empty()) {
-      enc = EncodeKvStream(part, encoding, config.block_codec,
-                           config.codec_block_bytes, &stats);
+  trace->DiskWrite(push.bytes, tag, WriteRequests(push.bytes));
+  metrics->map_output_bytes += push.bytes;
+  metrics->map_output_records += records;
+  push.gate_op = static_cast<uint32_t>(trace->trace()->ops.size() - 1);
+  if (config.integrity.checksums) {
+    // Under a codec the wire/disk image is the encoded block stream, so
+    // the CRC covers post-compression bytes (DESIGN.md §5.5).
+    if (!push.encoded.empty()) {
+      push.crcs.reserve(push.encoded.size());
+      for (const std::string& enc : push.encoded) {
+        push.crcs.push_back(Crc32c(enc));
+      }
+    } else {
+      push.crcs.reserve(push.partitions.size());
+      for (const KvBuffer& part : push.partitions) {
+        push.crcs.push_back(Crc32c(part.data()));
+      }
     }
-    encoded_total += enc.size();
-    push->encoded.push_back(std::move(enc));
-    part = KvBuffer();  // the encoded image supersedes the raw partition
   }
-  trace->Cpu(config.costs.compress_byte_s * static_cast<double>(raw_bytes),
-             tag);
-  metrics->codec_shuffle_raw_bytes += raw_bytes;
-  metrics->codec_shuffle_encoded_bytes += encoded_total;
-  metrics->compress_ns += stats.compress_ns;
-  push->bytes = encoded_total;
-}
-
-void MapRunner::StampPushCrcs(PushSegment* push) const {
-  StampPushSegmentCrcs(config_, push);
-}
-
-void MapRunner::EncodePush(PushSegment* push, bool sorted,
-                           TraceRecorder* trace, JobMetrics* metrics) const {
-  EncodePushSegment(config_, push, sorted, OpTag::kMapOutput, trace, metrics);
+  return push;
 }
 
 void MapRunner::PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
@@ -319,16 +315,9 @@ void MapRunner::PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
     out->metrics.node_combine_input_bytes += bytes;
     return;
   }
-  PushSegment push;
-  push.partitions = std::move(parts);
-  push.bytes = bytes;
-  EncodePush(&push, sorted, trace, &out->metrics);
-  trace->DiskWrite(push.bytes, OpTag::kMapOutput, WriteRequests(push.bytes));
-  out->metrics.map_output_bytes += push.bytes;
-  out->metrics.map_output_records += records;
-  push.gate_op = static_cast<uint32_t>(out->trace.ops.size() - 1);
-  StampPushCrcs(&push);
-  out->pushes.push_back(std::move(push));
+  out->pushes.push_back(PublishPush(config_, std::move(parts), bytes,
+                                    records, sorted, OpTag::kMapOutput,
+                                    trace, &out->metrics));
 }
 
 Result<MapTaskOutput> MapRunner::Run(const KvBuffer& chunk,

@@ -47,7 +47,9 @@ enum class MapOutputMode : uint8_t {
   kHashCombine,  // in-memory hash table of states (map-side combine)
 };
 
-// Returns the mode a job's configuration implies.
+// Returns the mode a job's configuration implies. A spec without the
+// reduce API its engine needs is CheckReduceApi's to reject, before any
+// MapRunner is built for the mode.
 MapOutputMode SelectMapOutputMode(const JobConfig& config, bool has_inc);
 
 // True when the mode produces state-valued output.
@@ -98,20 +100,18 @@ struct PushSegment {
   std::vector<uint32_t> crcs;
 };
 
-// Shared push-finishing steps, used by MapRunner and the node combine tier
-// (DESIGN.md §5.10). EncodePushSegment: under an active block codec,
-// encodes push->partitions into per-partition block streams (prefix-coded
-// when `sorted`, run-length key-grouped otherwise), charges the codec CPU
-// to `trace` at `tag`, updates the codec shuffle counters, releases the
-// raw partitions, and rewrites push->bytes to the encoded total; no-op
-// under kNone. Call before charging the push's disk write.
-// StampPushSegmentCrcs fills push->crcs from the bytes the push actually
-// carries (encoded streams under a codec, raw partitions otherwise) when
-// integrity checksums are on.
-void EncodePushSegment(const JobConfig& config, PushSegment* push,
-                       bool sorted, OpTag tag, TraceRecorder* trace,
-                       JobMetrics* metrics);
-void StampPushSegmentCrcs(const JobConfig& config, PushSegment* push);
+// Publishes one push of `records` records held in `parts` (`bytes` raw
+// bytes), the last step of a map task and of a node combine task (DESIGN.md
+// §5.10). Under an active block codec it first encodes each partition into
+// a block stream (prefix-coded when `sorted`, run-length key-grouped
+// otherwise), charges the codec CPU to `trace` at `tag`, updates the codec
+// shuffle counters and releases the raw partitions. It then charges the
+// disk write of the bytes the push carries at `tag`, counts them as map
+// output, gates the push on that write, and stamps a CRC per partition
+// when integrity checksums are on.
+PushSegment PublishPush(const JobConfig& config, std::vector<KvBuffer> parts,
+                        uint64_t bytes, uint64_t records, bool sorted,
+                        OpTag tag, TraceRecorder* trace, JobMetrics* metrics);
 
 struct MapTaskOutput {
   CostTrace trace;
@@ -154,25 +154,13 @@ class MapRunner {
   Status RunSortPath(const KvBuffer& chunk, double map_fn_cost,
                      TraceRecorder* trace, MapTaskOutput* out) const;
   // Terminal step for a task's final per-partition output: under kTask,
-  // encode + charge the disk write and append a PushSegment (the
-  // historical path, byte-identical); under kNode, charge the memory-speed
-  // handoff at OpTag::kNodeCombine and store the raw partitions as the
-  // task's node_feed — the node barrier task publishes instead.
+  // PublishPush at OpTag::kMapOutput (the historical path,
+  // byte-identical); under kNode, charge the memory-speed handoff at
+  // OpTag::kNodeCombine and store the raw partitions as the task's
+  // node_feed — the node barrier task publishes instead.
   void PublishOrFeed(std::vector<KvBuffer> parts, uint64_t bytes,
                      uint64_t records, bool sorted, TraceRecorder* trace,
                      MapTaskOutput* out) const;
-  // Fills push.crcs from the bytes the push actually carries (encoded
-  // block streams under a codec, raw partitions otherwise) when integrity
-  // checksums are on.
-  void StampPushCrcs(PushSegment* push) const;
-  // Under an active block codec: encodes push->partitions into
-  // per-partition block streams (prefix-coded when `sorted`, run-length
-  // key-grouped otherwise), charges the codec CPU to `trace`, updates the
-  // codec shuffle counters, releases the raw partitions, and rewrites
-  // push->bytes to the encoded total. No-op under kNone. Call before
-  // charging the push's disk write.
-  void EncodePush(PushSegment* push, bool sorted, TraceRecorder* trace,
-                  JobMetrics* metrics) const;
 
   const JobConfig& config_;
   MapOutputMode mode_;

@@ -86,8 +86,6 @@ void JobMetrics::Merge(const JobMetrics& o) {
     hash_table_max_probe = o.hash_table_max_probe;
   }
   hash_arena_bytes += o.hash_arena_bytes;
-  map_cpu_s += o.map_cpu_s;
-  reduce_cpu_s += o.reduce_cpu_s;
 }
 
 std::string JobMetrics::Serialize() const {
@@ -185,8 +183,6 @@ std::string JobMetrics::Serialize() const {
   put_u64("hash_table_rehashes", hash_table_rehashes);
   put_u64("hash_table_max_probe", hash_table_max_probe);
   put_u64("hash_arena_bytes", hash_arena_bytes);
-  put_f64("map_cpu_s", map_cpu_s);
-  put_f64("reduce_cpu_s", reduce_cpu_s);
   return out;
 }
 
@@ -200,8 +196,7 @@ std::string JobMetrics::ToString() const {
       "shuffle:         %12llu bytes\n"
       "reduce spill:    %12llu bytes written, %llu read\n"
       "reduce output:   %12llu bytes, %llu records (%llu early)\n"
-      "reduce work:     %llu combines, %llu groups\n"
-      "cpu:             map %.1f s, reduce %.1f s",
+      "reduce work:     %llu combines, %llu groups",
       static_cast<unsigned long long>(map_input_bytes),
       static_cast<unsigned long long>(map_input_records),
       static_cast<unsigned long long>(map_spill_write_bytes),
@@ -215,8 +210,7 @@ std::string JobMetrics::ToString() const {
       static_cast<unsigned long long>(output_records),
       static_cast<unsigned long long>(early_output_records),
       static_cast<unsigned long long>(combine_invocations),
-      static_cast<unsigned long long>(reduce_groups), map_cpu_s,
-      reduce_cpu_s);
+      static_cast<unsigned long long>(reduce_groups));
   std::string out = buf;
   // The recovery block appears only when the job saw faults.
   if (map_task_attempts + reduce_task_attempts > 0) {

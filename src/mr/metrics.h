@@ -150,10 +150,6 @@ struct JobMetrics {
   uint64_t hash_table_max_probe = 0;  // longest chain (Merge takes the max)
   uint64_t hash_arena_bytes = 0;  // peak arena bytes, summed over tables
 
-  // --- CPU seconds (data-plane modeled cost, summed over tasks) ---
-  double map_cpu_s = 0;
-  double reduce_cpu_s = 0;
-
   void Merge(const JobMetrics& o);
 
   // Human-readable multi-line summary.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
 #include <tuple>
@@ -216,13 +217,63 @@ TEST(ClusterTest, MissingMapperIsRejected) {
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
+// The engine <-> reduce API rule (PAPER.md §1.2): MR-hash takes the
+// values-list Reducer, INC/DINC-hash the IncrementalReducer.
 TEST(ClusterTest, MissingReducerApiIsRejected) {
   const ChunkStore input = SmallInput();
-  JobSpec spec = SessionizationJob();
-  spec.inc = nullptr;  // MR-hash path is fine, INC-hash path must fail
-  auto r = LocalCluster::RunJob(spec, SmallConfig(EngineKind::kIncHash),
-                                input);
-  EXPECT_FALSE(r.ok());
+  JobSpec no_inc = SessionizationJob();
+  no_inc.inc = nullptr;
+  for (const EngineKind e : {EngineKind::kIncHash, EngineKind::kDincHash}) {
+    EXPECT_TRUE(LocalCluster::RunJob(no_inc, SmallConfig(e), input)
+                    .status()
+                    .IsInvalidArgument())
+        << EngineKindName(e);
+  }
+  JobSpec neither = ClickCountJob();
+  neither.reducer = nullptr;
+  neither.inc = nullptr;
+  EXPECT_TRUE(LocalCluster::RunJob(neither, SmallConfig(EngineKind::kMRHash),
+                                   input)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// MR-hash has no combiner-only form: an IncrementalReducer with map-side
+// combine does not stand in for the Reducer. The job fails before any map
+// task runs, not after the whole map plane.
+TEST(ClusterTest, MrHashWithoutReducerFailsBeforeMapPlane) {
+  const ChunkStore input = SmallInput();
+  std::atomic<int> mappers_made{0};
+  JobSpec spec = ClickCountJob();
+  spec.reducer = nullptr;
+  spec.mapper = [&mappers_made, make = spec.mapper] {
+    ++mappers_made;
+    return make();
+  };
+  JobConfig cfg = SmallConfig(EngineKind::kMRHash);
+  cfg.map_side_combine = true;
+  auto r = LocalCluster::RunJob(spec, cfg, input);
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_EQ(mappers_made.load(), 0);
+}
+
+// Sort-merge runs a combiner-only job (IncrementalReducer, no Reducer)
+// when the map side already produced states, and rejects it otherwise.
+TEST(ClusterTest, SortMergeAcceptsCombinerOnlyJobs) {
+  const ChunkStore input = SmallInput();
+  JobSpec spec = ClickCountJob();
+  spec.reducer = nullptr;
+  JobConfig cfg = SmallConfig(EngineKind::kSortMerge);
+  cfg.collect_outputs = true;
+  cfg.map_side_combine = true;
+  auto r = LocalCluster::RunJob(spec, cfg, input);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // One output per user in the stream.
+  EXPECT_EQ(r->outputs.size(),
+            ReferenceClickCounts(input, ClickKeyField::kUser).size());
+  cfg.map_side_combine = false;
+  EXPECT_TRUE(
+      LocalCluster::RunJob(spec, cfg, input).status().IsInvalidArgument());
 }
 
 TEST(ClusterTest, InvalidClusterShapeIsRejected) {

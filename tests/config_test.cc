@@ -53,8 +53,37 @@ TEST(ConfigValidateTest, RejectsBadKnobs) {
   cfg.map_buffer_bytes = 0;
   EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
   cfg = JobConfig();
+  cfg.engine = EngineKind::kDincHash;
   cfg.dinc_coverage_threshold = 1.5;
   EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
+  cfg = JobConfig();
+  cfg.snapshots = -1;
+  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
+  cfg.snapshots = 3;
+  EXPECT_TRUE(cfg.Validate().ok());
+}
+
+// Knobs that belong to one engine are rejected on the others instead of
+// being silently ignored.
+TEST(ConfigTest, FeatureEngineMismatches) {
+  for (const EngineKind e : {EngineKind::kSortMerge, EngineKind::kMRHash,
+                             EngineKind::kIncHash, EngineKind::kDincHash}) {
+    JobConfig cfg;
+    cfg.engine = e;
+    auto expect_valid_iff = [&](bool valid) {
+      const Status s = cfg.Validate();
+      EXPECT_TRUE(valid ? s.ok() : s.IsInvalidArgument())
+          << EngineKindName(e) << ": " << s.ToString();
+    };
+    // Coverage-based early termination is DINC-hash's (§4.3).
+    cfg.dinc_coverage_threshold = 0.5;
+    expect_valid_iff(e == EngineKind::kDincHash);
+    cfg.dinc_coverage_threshold = 0;
+    // Pipelining is sort-merge's: the hash engines are already
+    // incremental.
+    cfg.pipelining = true;
+    expect_valid_iff(e == EngineKind::kSortMerge);
+  }
 }
 
 TEST(ConfigValidateTest, DataPlaneThreads) {
@@ -187,16 +216,6 @@ TEST(ConfigValidateTest, ResidentShuffleKnobs) {
   cfg.resident_cache_bytes = 4096;
   EXPECT_TRUE(cfg.Validate().ok());
   cfg.resident_cache_bytes = 0;
-  EXPECT_TRUE(cfg.Validate().ok());
-
-  cfg = JobConfig();
-  cfg.iterations = 0;
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.iterations = 65;  // chain length cap
-  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
-  cfg.iterations = 64;
-  EXPECT_TRUE(cfg.Validate().ok());
-  cfg.iterations = 1;
   EXPECT_TRUE(cfg.Validate().ok());
 }
 

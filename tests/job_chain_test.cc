@@ -10,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "src/mr/job_builder.h"
 #include "src/mr/job_chain.h"
-#include "src/mr/job_manager.h"
 #include "src/mr/resident.h"
 #include "src/workloads/iterative.h"
 #include "src/workloads/jobs.h"
@@ -59,7 +57,7 @@ TEST_P(JobChainExactness, GrowingLogChainEqualsColdJobOverUnion) {
     stages[static_cast<size_t>(i)] = {ClickCountJob(), cfg,
                                       log.deltas[static_cast<size_t>(i)].get()};
   }
-  auto chain = JobManager::RunChain(stages);
+  auto chain = RunJobChain(stages);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   ASSERT_EQ(chain->iterations.size(), static_cast<size_t>(kIters));
 
@@ -130,18 +128,12 @@ TEST(JobChainTest, RepeatedSameInputChainIsExactAndCachesInput) {
   GenerateClickStream(clicks, &input);
 
   const JobConfig cfg = ChainConfig(EngineKind::kIncHash);
-  auto chain = JobBuilder("min label chain")
-                   .WithMapper(LabelPropagationJob().mapper)
-                   .WithIncrementalReducer(LabelPropagationJob().inc)
-                   .Engine(EngineKind::kIncHash)
-                   .Cluster(4, 2, 2, 2)
-                   .ReducersPerNode(2)
-                   .ChunkBytes(64 << 10)
-                   .MapSideCombine(true)
-                   .CollectOutputs(true)
-                   .ShuffleMode(ShuffleMode::kResident)
-                   .Iterate(3)
-                   .RunChain(input);
+  const std::vector<ChainStage> stages = {
+      {LabelPropagationJob(), cfg, &input},
+      {LabelPropagationJob(), cfg, &input},
+      {LabelPropagationJob(), cfg, &input},
+  };
+  auto chain = RunJobChain(stages);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   ASSERT_EQ(chain->iterations.size(), 3u);
 
